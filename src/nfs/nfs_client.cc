@@ -397,24 +397,30 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
   u64 pages_per_wsize = std::max<u64>(1, cfg_.wsize / cfg_.page_size);
   std::size_t i = 0;
   u64 flushed = 0;
+  // Pages are marked clean only if they still hold the data written: another
+  // process may re-dirty them while the WRITE yields.
+  auto mark_run_clean = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      pages_.mark_clean(key, dirty[k].first, dirty[k].second);
+    }
+  };
   while (i < dirty.size()) {
+    const std::size_t run_begin = i;
     u64 run_first = dirty[i].first;
     u64 run_limit = (run_first / pages_per_wsize + 1) * pages_per_wsize;
     blob::ExtentStore run;
     u64 run_len = 0;
-    std::vector<u64> run_pages;
-    while (i < dirty.size() && dirty[i].first == run_first + run_pages.size() &&
+    while (i < dirty.size() && dirty[i].first == run_first + (i - run_begin) &&
            dirty[i].first < run_limit && run_len + cfg_.page_size <= cfg_.wsize) {
       const blob::BlobRef& d = dirty[i].second;
       u64 n = d ? d->size() : 0;
       if (n > 0) run.write_blob(run_len, d, 0, n);
       run_len += n;
-      run_pages.push_back(dirty[i].first);
       ++i;
       if (n < cfg_.page_size) break;  // short (EOF) page ends the run
     }
     if (run_len == 0) {
-      for (u64 pg : run_pages) pages_.mark_clean(key, pg);
+      mark_run_clean(run_begin, i);
       continue;
     }
     auto args = std::make_shared<WriteArgs>();
@@ -427,7 +433,7 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
     GVFS_ASSIGN_OR_RETURN(auto res, call_as_<WriteRes>(p, Proc::kWrite, args));
     if (res->status != NfsStat::kOk) return err(res->status, "write");
     if (res->attr.attr) cache_attr_(fh, *res->attr.attr, p);
-    for (u64 pg : run_pages) pages_.mark_clean(key, pg);
+    mark_run_clean(run_begin, i);
     flushed += run_len;
   }
 

@@ -7,12 +7,17 @@
 // Dirty pages model kernel write staging; when a dirty page is evicted (or
 // the owner flushes) a writeback callback pushes it to the backing store,
 // charging whatever time that store costs.
+//
+// Layout: pages live in a slab vector threaded by an index-linked LRU list
+// and a free list, and are found through an open-addressing table of slab
+// indices. Growing the slab moves entries, and the writeback callback may
+// yield to other processes that touch, re-dirty or drop pages, so no entry
+// reference or slot index is held across it: the page is copied out, written,
+// and looked up again by key.
 #pragma once
 
 #include <functional>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,15 +50,18 @@ class BufferCache {
   // the writeback function with `p`).
   void insert(sim::Process& p, u64 file, u64 page_index, blob::BlobRef data, bool dirty);
 
-  // Mark an existing page clean (after an explicit writeback).
-  void mark_clean(u64 file, u64 page_index);
+  // Mark a page clean after an explicit writeback of `written`. A page that
+  // was re-dirtied while that writeback yielded holds newer data and stays
+  // dirty.
+  void mark_clean(u64 file, u64 page_index, const blob::BlobRef& written);
 
   // Write back every dirty page of `file` (all files if file == 0) in page
   // order, then mark clean. Returns number of pages written.
   u64 flush(sim::Process& p, u64 file = 0);
 
   // Drop all pages of a file (cache invalidation on close/reopen); dirty
-  // pages are written back first.
+  // pages are written back first. Pages re-dirtied during that writeback
+  // stay resident and dirty.
   void invalidate_file(sim::Process& p, u64 file);
 
   // Drop all pages of a file WITHOUT writeback (truncate semantics: staged
@@ -73,14 +81,14 @@ class BufferCache {
 
   // Peek without touching LRU order or stats.
   [[nodiscard]] bool contains(u64 file, u64 page_index) const {
-    return map_.count(Key{file, page_index}) != 0;
+    return find_(file, page_index) != kNil;
   }
 
   [[nodiscard]] u64 hits() const { return hits_.value(); }
   [[nodiscard]] u64 misses() const { return misses_.value(); }
   [[nodiscard]] u64 evictions() const { return evictions_.value(); }
   [[nodiscard]] u64 dirty_pages() const { return dirty_count_.value(); }
-  [[nodiscard]] u64 resident_pages() const { return map_.size(); }
+  [[nodiscard]] u64 resident_pages() const { return resident_; }
   void reset_stats() {
     hits_.reset();
     misses_.reset();
@@ -95,29 +103,48 @@ class BufferCache {
   }
 
  private:
-  struct Key {
-    u64 file;
-    u64 page;
-    bool operator==(const Key& o) const { return file == o.file && page == o.page; }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(hash_combine(k.file, k.page));
-    }
-  };
+  static constexpr u32 kNil = ~u32{0};
+
+  // One slab slot. Live slots are threaded through prev/next into the LRU
+  // list; free slots chain through `next` into the free list.
   struct Entry {
-    Key key;
+    u64 file = 0;
+    u64 page = 0;
     blob::BlobRef data;
+    u32 prev = kNil;  // towards the most recently used end
+    u32 next = kNil;  // towards the least recently used end
+    bool live = false;
     bool dirty = false;
   };
-  using LruList = std::list<Entry>;
 
-  void evict_one_(sim::Process& p);
+  [[nodiscard]] std::size_t home_(u64 file, u64 page) const {
+    return static_cast<std::size_t>(hash_combine(file, page)) & (table_.size() - 1);
+  }
+  [[nodiscard]] u32 find_(u64 file, u64 page) const;
+  // Takes a slot, links it at the LRU head and indexes it.
+  void add_(u64 file, u64 page, blob::BlobRef data, bool dirty);
+  // Unindexes and unlinks a live slot and returns it to the free list.
+  void remove_(u32 slot);
+  void unlink_(u32 slot);
+  void push_front_(u32 slot);
+  void touch_(u32 slot);
+  void table_place_(u32 slot);
+  void table_erase_(u32 slot);
+  void grow_table_();
+  // Evicts the LRU page. Returns true if it ran a writeback, which may have
+  // yielded.
+  bool evict_one_(sim::Process& p);
 
   u32 page_size_;
   u64 capacity_pages_;
-  LruList lru_;  // front = most recent
-  std::unordered_map<Key, LruList::iterator, KeyHash> map_;
+  std::vector<Entry> slab_;
+  // Power-of-two open-addressing table of slab indices (kNil = empty),
+  // linear probing, at most 3/4 full.
+  std::vector<u32> table_;
+  u32 head_ = kNil;  // most recently used
+  u32 tail_ = kNil;  // least recently used: the next victim
+  u32 free_ = kNil;
+  u64 resident_ = 0;
   WritebackFn writeback_;
   metrics::Counter hits_;
   metrics::Counter misses_;

@@ -255,6 +255,40 @@ TEST(NfsClientServer, DirtyLimitForcesWriteback) {
   });
 }
 
+TEST(NfsClientServer, PageRedirtiedDuringFlushIsNotLost) {
+  // The flusher's WRITE of v1 yields for 10 ms; a second process writes v2 to
+  // the same page 5 ms in. Marking the page clean after the WRITE would leave
+  // v2 staged-but-clean, so the writer's close() would send nothing.
+  Fixture f;
+  rpc::LinkChannel slow{f.server, nullptr, nullptr, 10 * kMillisecond};
+  NfsClient c(slow, f.cred, f.ccfg);
+  auto v1 = blob::make_bytes(std::vector<u8>(4_KiB, 1));
+  auto v2 = blob::make_bytes(std::vector<u8>(4_KiB, 2));
+  f.kernel.run_process("setup", [&](sim::Process& p) {
+    ASSERT_OK(c.mount(p, "/exports"));
+    ASSERT_OK(c.create(p, "/f"));
+    ASSERT_OK(c.write(p, "/f", 0, v1));
+  });
+  f.kernel.spawn("flusher", [&](sim::Process& p) { EXPECT_OK(c.flush(p)); });
+  f.kernel.spawn(
+      "writer",
+      [&](sim::Process& p) {
+        EXPECT_OK(c.write(p, "/f", 0, v2));
+        p.delay(100 * kMillisecond);  // past the flusher's WRITE and COMMIT
+        EXPECT_OK(c.close(p, "/f"));
+      },
+      5 * kMillisecond);
+  f.kernel.run();
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  EXPECT_EQ(c.page_cache().dirty_pages(), 0u);
+  auto server_side = f.fs.get_file("/exports/f");
+  ASSERT_OK(server_side);
+  ASSERT_EQ((*server_side)->size(), 4_KiB);
+  std::vector<u8> buf(1);
+  (*server_side)->read(0, buf);
+  EXPECT_EQ(buf[0], 2);
+}
+
 TEST(NfsClientServer, AppendGrowsFile) {
   Fixture f;
   f.run([&](sim::Process& p, NfsClient& c) {

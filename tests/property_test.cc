@@ -5,11 +5,16 @@
 
 #include "test_util.h"
 
+#include <list>
 #include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "blob/blob.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "gvfs/testbed.h"
+#include "vfs/buffer_cache.h"
 #include "vfs/local_session.h"
 #include "vm/vm_cloner.h"
 #include "vm/vm_image.h"
@@ -880,6 +885,311 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.policy == cache::WritePolicy::kWriteBack ? "wb"
                                                                              : "wt") +
              std::to_string(info.param.seed);
+    });
+
+// ---------------------------------------------------- BufferCacheEquivalence --
+//
+// The flat slab + open-addressing vfs::BufferCache must be observably identical
+// to the std::list + std::unordered_map cache it replaced: same return values,
+// same LRU victims, same counters, same writeback sequence.
+
+// The replaced list + map cache, kept as the reference.
+class RefBufferCache {
+ public:
+  explicit RefBufferCache(u64 capacity_pages) : capacity_pages_(capacity_pages) {}
+
+  void set_writeback(vfs::BufferCache::WritebackFn fn) { writeback_ = std::move(fn); }
+
+  std::optional<blob::BlobRef> lookup(u64 file, u64 page) {
+    auto it = map_.find(Key{file, page});
+    if (it == map_.end()) {
+      ++misses;
+      return std::nullopt;
+    }
+    ++hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->data;
+  }
+
+  void insert(sim::Process& p, u64 file, u64 page, blob::BlobRef data, bool dirty) {
+    Key key{file, page};
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      if (it->second->dirty && !dirty) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return;
+      }
+      if (dirty && !it->second->dirty) ++dirty_pages;
+      it->second->data = std::move(data);
+      it->second->dirty = dirty;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    while (map_.size() >= capacity_pages_) evict_one_(p);
+    lru_.push_front(Entry{key, std::move(data), dirty});
+    map_.emplace(key, lru_.begin());
+    if (dirty) ++dirty_pages;
+  }
+
+  void mark_clean(u64 file, u64 page, const blob::BlobRef& written) {
+    auto it = map_.find(Key{file, page});
+    if (it != map_.end() && it->second->dirty && it->second->data == written) {
+      it->second->dirty = false;
+      --dirty_pages;
+    }
+  }
+
+  u64 flush(sim::Process& p, u64 file) {
+    std::vector<std::pair<Key, blob::BlobRef>> dirty;
+    for (const Entry& e : lru_) {
+      if (e.dirty && (file == 0 || e.key.file == file)) dirty.emplace_back(e.key, e.data);
+    }
+    std::sort(dirty.begin(), dirty.end(), [](const auto& a, const auto& b) {
+      return a.first.file != b.first.file ? a.first.file < b.first.file
+                                          : a.first.page < b.first.page;
+    });
+    for (auto& [key, data] : dirty) {
+      if (writeback_) writeback_(p, key.file, key.page, data);
+      mark_clean(key.file, key.page, data);
+    }
+    return dirty.size();
+  }
+
+  [[nodiscard]] std::vector<std::pair<u64, blob::BlobRef>> dirty_pages_of(u64 file) const {
+    std::vector<std::pair<u64, blob::BlobRef>> out;
+    for (const Entry& e : lru_) {
+      if (e.dirty && e.key.file == file) out.emplace_back(e.key.page, e.data);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
+  }
+
+  void invalidate_file(sim::Process& p, u64 file) {
+    flush(p, file);
+    discard_file(file);
+  }
+
+  void discard_file(u64 file) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->key.file == file) {
+        if (it->dirty) --dirty_pages;
+        map_.erase(it->key);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<u64> dirty_files() const {
+    std::vector<u64> out;
+    for (const Entry& e : lru_) {
+      if (e.dirty && std::find(out.begin(), out.end(), e.key.file) == out.end()) {
+        out.push_back(e.key.file);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  void drop_all() {
+    lru_.clear();
+    map_.clear();
+    dirty_pages = 0;
+  }
+
+  [[nodiscard]] bool contains(u64 file, u64 page) const {
+    return map_.count(Key{file, page}) != 0;
+  }
+  [[nodiscard]] u64 resident_pages() const { return map_.size(); }
+
+  u64 hits = 0, misses = 0, evictions = 0, dirty_pages = 0;
+
+ private:
+  struct Key {
+    u64 file;
+    u64 page;
+    bool operator==(const Key& o) const { return file == o.file && page == o.page; }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return static_cast<std::size_t>(hash_combine(k.file, k.page));
+    }
+  };
+  struct Entry {
+    Key key;
+    blob::BlobRef data;
+    bool dirty = false;
+  };
+  using LruList = std::list<Entry>;
+
+  void evict_one_(sim::Process& p) {
+    Entry& victim = lru_.back();
+    if (victim.dirty) {
+      if (writeback_) writeback_(p, victim.key.file, victim.key.page, victim.data);
+      --dirty_pages;
+    }
+    ++evictions;
+    map_.erase(victim.key);
+    lru_.pop_back();
+  }
+
+  u64 capacity_pages_;
+  LruList lru_;
+  std::unordered_map<Key, LruList::iterator, KeyHash> map_;
+  vfs::BufferCache::WritebackFn writeback_;
+};
+
+struct PageWb {
+  u64 file;
+  u64 page;
+  const blob::Blob* data;
+  bool operator==(const PageWb& o) const {
+    return file == o.file && page == o.page && data == o.data;
+  }
+};
+
+struct BufferCacheParam {
+  u64 seed;
+  u64 capacity_pages;
+};
+
+class BufferCacheEquivalence : public ::testing::TestWithParam<BufferCacheParam> {};
+
+TEST_P(BufferCacheEquivalence, RandomOpsMatchListMapReference) {
+  const BufferCacheParam param = GetParam();
+  constexpr u32 kPage = 4_KiB;
+  sim::SimKernel kernel;
+  vfs::BufferCache cache(param.capacity_pages * kPage, kPage);
+  RefBufferCache ref(param.capacity_pages);
+  std::vector<PageWb> real_log;
+  std::vector<PageWb> ref_log;
+  cache.set_writeback([&](sim::Process&, u64 file, u64 page, const blob::BlobRef& data) {
+    real_log.push_back({file, page, data.get()});
+  });
+  ref.set_writeback([&](sim::Process&, u64 file, u64 page, const blob::BlobRef& data) {
+    ref_log.push_back({file, page, data.get()});
+  });
+
+  // Key pool: half the keys share their home bucket in every table up to 64
+  // slots, so probe runs are long and deletes shift members backwards; the
+  // rest are spread at random.
+  constexpr u64 kFiles = 4;
+  std::vector<std::pair<u64, u64>> keys;
+  for (u64 file = 1; file <= kFiles; ++file) {
+    for (u64 page = 0; keys.size() < 12 * file; ++page) {
+      if ((hash_combine(file, page) & 63) == 5) keys.emplace_back(file, page);
+    }
+  }
+  for (u64 file = 1; file <= kFiles; ++file) {
+    for (u64 page = 0; page < 12; ++page) keys.emplace_back(file, page);
+  }
+
+  kernel.run_process("replay", [&](sim::Process& p) {
+    SplitMix64 rng(param.seed);
+    u8 tag = 0;
+    auto fresh = [&] { return blob::make_bytes(std::vector<u8>{++tag}); };
+    for (int op = 0; op < 6000; ++op) {
+      auto [file, page] = keys[rng.next_below(keys.size())];
+      switch (rng.next_below(16)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+        case 4: {  // insert a fresh page, clean or dirty
+          bool dirty = rng.next_below(2) == 0;
+          blob::BlobRef data = fresh();
+          cache.insert(p, file, page, data, dirty);
+          ref.insert(p, file, page, data, dirty);
+          break;
+        }
+        case 5:
+        case 6:
+        case 7:
+        case 8: {  // lookup: same hit and the very same blob
+          auto got = cache.lookup(file, page);
+          auto want = ref.lookup(file, page);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+          if (got) {
+            EXPECT_EQ(got->get(), want->get()) << "op " << op;
+          }
+          break;
+        }
+        case 9: {  // mark clean with the resident blob or a stale one
+          std::optional<blob::BlobRef> current;
+          for (const auto& [pg, data] : ref.dirty_pages_of(file)) {
+            if (pg == page) current = data;
+          }
+          blob::BlobRef written =
+              current && rng.next_below(4) != 0 ? *current : fresh();
+          cache.mark_clean(file, page, written);
+          ref.mark_clean(file, page, written);
+          break;
+        }
+        case 10: {  // flush one file or all
+          u64 which = rng.next_below(3) == 0 ? 0 : file;
+          ASSERT_EQ(cache.flush(p, which), ref.flush(p, which)) << "op " << op;
+          break;
+        }
+        case 11:
+          cache.invalidate_file(p, file);
+          ref.invalidate_file(p, file);
+          break;
+        case 12:
+          cache.discard_file(file);
+          ref.discard_file(file);
+          break;
+        case 13: {  // read-only views
+          EXPECT_EQ(cache.dirty_files(), ref.dirty_files()) << "op " << op;
+          EXPECT_EQ(cache.dirty_pages_of(file), ref.dirty_pages_of(file)) << "op " << op;
+          EXPECT_EQ(cache.contains(file, page), ref.contains(file, page)) << "op " << op;
+          break;
+        }
+        case 14:
+          if (rng.next_below(20) == 0) {
+            cache.drop_all();
+            ref.drop_all();
+          }
+          break;
+        case 15: {  // re-insert the resident blob dirty (same data, re-staged)
+          auto got = cache.lookup(file, page);
+          auto want = ref.lookup(file, page);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+          if (got) {
+            cache.insert(p, file, page, *got, true);
+            ref.insert(p, file, page, *want, true);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(cache.hits(), ref.hits) << "op " << op;
+      ASSERT_EQ(cache.misses(), ref.misses) << "op " << op;
+      ASSERT_EQ(cache.evictions(), ref.evictions) << "op " << op;
+      ASSERT_EQ(cache.dirty_pages(), ref.dirty_pages) << "op " << op;
+      ASSERT_EQ(cache.resident_pages(), ref.resident_pages()) << "op " << op;
+      ASSERT_EQ(real_log.size(), ref_log.size()) << "op " << op;
+    }
+    ASSERT_EQ(real_log, ref_log);
+    for (const auto& [file, page] : keys) {
+      ASSERT_EQ(cache.contains(file, page), ref.contains(file, page));
+    }
+    // Drain: everything dirty goes upstream, nothing left behind.
+    EXPECT_EQ(cache.flush(p), ref.flush(p, 0));
+    EXPECT_EQ(real_log, ref_log);
+    EXPECT_EQ(cache.dirty_pages(), 0u);
+  });
+  EXPECT_EQ(kernel.failed_processes(), 0) << kernel.failed_names_joined();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndCapacities, BufferCacheEquivalence,
+    ::testing::Values(BufferCacheParam{31, 1}, BufferCacheParam{32, 3},
+                      BufferCacheParam{33, 12}, BufferCacheParam{34, 40},
+                      BufferCacheParam{35, 96}),
+    [](const auto& info) {
+      return "seed" + std::to_string(info.param.seed) + "_pages" +
+             std::to_string(info.param.capacity_pages);
     });
 
 }  // namespace

@@ -293,6 +293,99 @@ TEST(BufferCache, DirtyFilesLists) {
   EXPECT_EQ(bc.dirty_files(), (std::vector<u64>{3, 5}));
 }
 
+TEST(BufferCache, EvictionSurvivesLookupDuringYieldingWriteback) {
+  sim::SimKernel k;
+  BufferCache bc(2 * 4_KiB, 4_KiB);
+  std::vector<u64> written;
+  bc.set_writeback([&](sim::Process& p, u64, u64 page, const blob::BlobRef&) {
+    written.push_back(page);
+    p.delay(kMillisecond);
+  });
+  k.run_process("setup", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({10}), true);  // LRU tail: the next victim
+    bc.insert(p, 1, 1, bytes({11}), true);
+  });
+  // The evictor writes page 0 back; half-way through, a reader touches it.
+  k.spawn("evictor", [&](sim::Process& p) { bc.insert(p, 1, 2, bytes({12}), true); });
+  k.spawn("reader", [&](sim::Process&) { EXPECT_TRUE(bc.lookup(1, 0).has_value()); },
+          kMillisecond / 2);
+  k.run();
+  EXPECT_EQ(k.failed_processes(), 0) << k.failed_names_joined();
+  EXPECT_EQ(written, (std::vector<u64>{0}));
+  EXPECT_FALSE(bc.contains(1, 0));
+  EXPECT_EQ(bc.resident_pages(), 2u);
+  EXPECT_EQ(bc.dirty_pages(), 2u);
+  EXPECT_EQ(bc.evictions(), 1u);
+  k.run_process("after", [&](sim::Process& p) {
+    auto got = bc.lookup(1, 1);
+    ASSERT_TRUE(got.has_value());
+    std::vector<u8> buf(1);
+    (*got)->read(0, buf);
+    EXPECT_EQ(buf[0], 11);
+    EXPECT_EQ(bc.flush(p), 2u);
+  });
+  EXPECT_EQ(written, (std::vector<u64>{0, 1, 2}));
+  EXPECT_EQ(bc.dirty_pages(), 0u);
+}
+
+TEST(BufferCache, EvictionKeepsPageRedirtiedDuringItsWriteback) {
+  sim::SimKernel k;
+  BufferCache bc(2 * 4_KiB, 4_KiB);
+  std::vector<std::pair<u64, u8>> written;  // (page, first byte)
+  bc.set_writeback([&](sim::Process& p, u64, u64 page, const blob::BlobRef& data) {
+    std::vector<u8> buf(1);
+    data->read(0, buf);
+    written.emplace_back(page, buf[0]);
+    p.delay(kMillisecond);
+  });
+  k.run_process("setup", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({1}), true);  // LRU tail: the next victim
+    bc.insert(p, 1, 1, bytes({1}), false);
+  });
+  // The evictor writes page 0 back; half-way through, a writer re-dirties it.
+  k.spawn("evictor", [&](sim::Process& p) { bc.insert(p, 1, 2, bytes({1}), false); });
+  k.spawn("writer", [&](sim::Process& p) { bc.insert(p, 1, 0, bytes({2}), true); },
+          kMillisecond / 2);
+  k.run();
+  EXPECT_EQ(k.failed_processes(), 0) << k.failed_names_joined();
+  // The newer bytes stay dirty; the evictor took the clean page 1 instead.
+  EXPECT_TRUE(bc.contains(1, 0));
+  EXPECT_FALSE(bc.contains(1, 1));
+  EXPECT_TRUE(bc.contains(1, 2));
+  EXPECT_EQ(bc.dirty_pages(), 1u);
+  EXPECT_EQ(bc.evictions(), 1u);
+  k.run_process("flush", [&](sim::Process& p) { EXPECT_EQ(bc.flush(p), 1u); });
+  EXPECT_EQ(written, (std::vector<std::pair<u64, u8>>{{0, 1}, {0, 2}}));
+}
+
+TEST(BufferCache, PageRedirtiedDuringWritebackStaysDirty) {
+  sim::SimKernel k;
+  BufferCache bc(64_KiB, 4_KiB);
+  std::vector<std::pair<u64, u8>> written;  // (page, first byte)
+  bc.set_writeback([&](sim::Process& p, u64, u64 page, const blob::BlobRef& data) {
+    std::vector<u8> buf(1);
+    data->read(0, buf);
+    written.emplace_back(page, buf[0]);
+    p.delay(kMillisecond);
+  });
+  k.run_process("setup", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({1}), true);
+    bc.insert(p, 1, 1, bytes({1}), false);
+  });
+  k.spawn("invalidator", [&](sim::Process& p) { bc.invalidate_file(p, 1); });
+  k.spawn("writer", [&](sim::Process& p) { bc.insert(p, 1, 0, bytes({2}), true); },
+          kMillisecond / 2);
+  k.run();
+  EXPECT_EQ(k.failed_processes(), 0) << k.failed_names_joined();
+  // The newer bytes were neither marked clean nor dropped.
+  EXPECT_TRUE(bc.contains(1, 0));
+  EXPECT_FALSE(bc.contains(1, 1));
+  EXPECT_EQ(bc.dirty_pages(), 1u);
+  k.run_process("flush", [&](sim::Process& p) { EXPECT_EQ(bc.flush(p), 1u); });
+  EXPECT_EQ(written, (std::vector<std::pair<u64, u8>>{{0, 1}, {0, 2}}));
+  EXPECT_EQ(bc.dirty_pages(), 0u);
+}
+
 // --------------------------------------------------------- LocalFsSession --
 
 struct LocalFixture {

@@ -6,7 +6,7 @@
 #                        including the interprocedural yield-point analysis
 #                        (yield-stale-ref / yield-index-loop / yield-held-lock)
 #                        and the committed may-yield-model golden diff
-#   2. stdout invariance 12 simulated benches run twice each; stdout must be
+#   2. stdout invariance 16 simulated benches run twice each; stdout must be
 #                        byte-identical run-to-run and match the committed
 #                        tools/golden_stdout.sha256
 #   3. ASan/UBSan        full test suite (incl. ctest -L faults) under
