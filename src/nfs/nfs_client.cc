@@ -515,8 +515,9 @@ Status NfsClient::remove(sim::Process& p, const std::string& path) {
 Status NfsClient::truncate(sim::Process& p, const std::string& path, u64 size) {
   p.delay(cfg_.per_op_cpu);
   GVFS_ASSIGN_OR_RETURN(Fh fh, resolve_(p, path));
-  // Discard staged pages (they must not be written back past truncation).
-  pages_.discard_file(fh.key());
+  // Staged pages past the new size must not be written back; those below it
+  // hold acknowledged writes and stay staged.
+  pages_.discard_file(fh.key(), size);
   auto args = std::make_shared<SetattrArgs>();
   args->fh = fh;
   args->sattr.sa.set_size = true;

@@ -76,32 +76,20 @@ Result<meta::CompressedImage> CachingFileEndpoint::fetch_compressed(
     hits_.inc();
   }
   while (it == images_.end()) {
-    if (single_flight_) {
-      if (auto fl = inflight_.find(fileid); fl != inflight_.end()) {
-        // Another downstream fetch is already pulling this image: join it.
-        std::shared_ptr<InflightPull> entry = fl->second;
-        coalesced_.inc();
-        while (!entry->complete) p.wait(*entry->done);
-        GVFS_RETURN_IF_ERROR(entry->status);
-        // Normally cached now; re-loop handles the pulled image having been
-        // evicted again before this waiter was rescheduled.
-        it = images_.find(fileid);
-        continue;
-      }
-      misses_.inc();
-      auto entry = std::make_shared<InflightPull>();
-      entry->done = std::make_unique<sim::Signal>(p.kernel(), "l2-file-pull");
-      inflight_.emplace(fileid, entry);
-      Status st = pull_(p, fileid);
-      entry->complete = true;
-      entry->status = st;
-      inflight_.erase(fileid);
-      entry->done->notify_all();
-      GVFS_RETURN_IF_ERROR(st);
-    } else {
-      misses_.inc();
-      GVFS_RETURN_IF_ERROR(pull_(p, fileid));
+    if (single_flight_ && pulls_.in_flight(fileid)) {
+      // Another downstream fetch is already pulling this image: join it.
+      coalesced_.inc();
+      GVFS_RETURN_IF_ERROR(pulls_.join(p, fileid));
+      // Normally cached now; re-loop handles the pulled image having been
+      // evicted again before this waiter was rescheduled.
+      it = images_.find(fileid);
+      continue;
     }
+    misses_.inc();
+    GVFS_RETURN_IF_ERROR(single_flight_
+                             ? pulls_.lead(p, fileid, "l2-file-pull",
+                                           [&] { return pull_(p, fileid); })
+                             : pull_(p, fileid));
     it = images_.find(fileid);
   }
   // Stream the cached compressed image off the LAN disk; no recompression.

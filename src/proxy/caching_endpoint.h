@@ -11,6 +11,7 @@
 #include "blob/blob.h"
 #include "common/metrics.h"
 #include "meta/file_channel.h"
+#include "proxy/single_flight.h"
 #include "sim/resources.h"
 #include "ssh/ssh.h"
 
@@ -82,14 +83,6 @@ class CachingFileEndpoint final : public meta::RemoteFileEndpoint {
   }
 
  private:
-  // One in-flight pull; waiters hold the shared entry so the Signal outlives
-  // the leader erasing the map slot.
-  struct InflightPull {
-    std::unique_ptr<sim::Signal> done;
-    bool complete = false;
-    Status status = Status::ok();
-  };
-
   // One deduplicated resident image; refs counts the fileids aliased onto
   // it. The entry owns the single residency charge — aliases add none.
   struct ImageDedupEntry {
@@ -111,7 +104,7 @@ class CachingFileEndpoint final : public meta::RemoteFileEndpoint {
   bool single_flight_ = false;
   bool dedup_ = false;
   u64 dedup_seed_ = blob::kDefaultFingerprintSeed;
-  std::unordered_map<vfs::FileId, std::shared_ptr<InflightPull>> inflight_;
+  SingleFlight<vfs::FileId, Status> pulls_;
   std::unordered_map<u64, ImageDedupEntry> store_;  // fingerprint -> entry
   std::unordered_map<vfs::FileId, u64> fp_of_;      // deduped fileids only
   metrics::Gauge resident_;  // compressed bytes on the cache disk

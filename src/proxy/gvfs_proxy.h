@@ -27,6 +27,7 @@
 #include "meta/file_channel.h"
 #include "meta/meta_file.h"
 #include "nfs/nfs_types.h"
+#include "proxy/single_flight.h"
 #include "rpc/rpc.h"
 
 namespace gvfs::proxy {
@@ -52,23 +53,19 @@ struct ProxyConfig {
 
   // Degraded-mode operation during WAN outages (partitions, server
   // reboots): keep serving reads from the caches (session consistency
-  // permits it), queue failed write-backs, replay the queue on reconnect.
+  // permits it), park failed write-backs, replay them on reconnect.
   // Off by default — without it upstream timeouts surface as errors.
   bool degraded_mode = false;
 
   // Asynchronous batched write-back: instead of one blocking FILE_SYNC
-  // WRITE per dirty block, evicted / signalled dirty blocks enter a
-  // per-file flush queue drained by a background flusher process as
-  // pipelined UNSTABLE WRITE bursts followed by one COMMIT per file (the
+  // WRITE per dirty block, evicted / signalled dirty blocks wait in the
+  // pending-write log for a background flusher process that drains it file
+  // by file as pipelined UNSTABLE WRITE bursts followed by one COMMIT (the
   // NFSv3 safe-asynchronous-write protocol). The COMMIT verifier is checked
   // against every WRITE's verifier; a mismatch means the server rebooted
   // mid-flush and the whole file is re-sent. Off by default — the write
   // path stays byte-identical to the synchronous proxy.
   bool async_writeback = false;
-  // Max WRITE calls per pipelined burst while draining a file's queue.
-  u32 flush_burst = 32;
-  // Verifier-mismatch re-send attempts per file before giving up.
-  u32 flush_max_attempts = 3;
 
   // Single-flight miss coalescing: concurrent downstream readers of the
   // same uncached block share one upstream fetch instead of issuing
@@ -138,7 +135,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   Status signal_write_back(sim::Process& p);
   // SIGUSR2-equivalent: write back and invalidate everything.
   Status signal_flush(sim::Process& p);
-  // Reconnect signal: replay write-backs queued while the upstream was
+  // Reconnect signal: replay write-backs parked while the upstream was
   // unreachable (degraded mode), then re-probe every attribute that was
   // served stale during the outage (a remote truncate performed mid-outage
   // must become visible here, not at the attr TTL's leisure). The lazy
@@ -182,7 +179,8 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] u64 queued_writebacks() const { return queued_writebacks_.value(); }
   [[nodiscard]] u64 replayed_writebacks() const { return replayed_writebacks_.value(); }
   [[nodiscard]] u64 coalesced_writebacks() const { return coalesced_writebacks_.value(); }
-  [[nodiscard]] u64 pending_writebacks() const { return write_queue_.size(); }
+  // Log entries parked for replay.
+  [[nodiscard]] u64 pending_writebacks() const;
 
   // ---- async flusher / single-flight metrics -------------------------------
   [[nodiscard]] u64 flush_enqueued_blocks() const { return flush_enqueued_.value(); }
@@ -190,12 +188,8 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] u64 flush_commits() const { return flush_commits_.value(); }
   [[nodiscard]] u64 flush_verifier_resends() const { return flush_verifier_resends_.value(); }
   [[nodiscard]] u64 flush_queue_reads() const { return flush_queue_reads_.value(); }
-  [[nodiscard]] u64 pending_flush_blocks() const {
-    u64 n = 0;
-    // gvfs-lint: allow(unordered-iteration) commutative sum; order cannot escape
-    for (const auto& [key, q] : flush_queues_) n += q.order.size();
-    return n;
-  }
+  // Log entries queued for a flush (not yet in flight).
+  [[nodiscard]] u64 pending_flush_blocks() const;
   // Upstream fetches this proxy led on behalf of concurrent readers / the
   // number of reader fetches coalesced onto another reader's in-flight one.
   [[nodiscard]] u64 single_flight_leads() const { return single_flight_leads_.value(); }
@@ -253,9 +247,8 @@ class GvfsProxy final : public rpc::RpcHandler {
 
   // -- upstream helpers ------------------------------------------------------
   rpc::RpcReply forward_(sim::Process& p, const rpc::RpcCall& call);
-  Result<rpc::MessagePtr> upstream_call_(sim::Process& p, nfs::Proc proc,
-                                         rpc::MessagePtr args,
-                                         const rpc::Credential& cred);
+  // A fresh NFSv3 call (next xid) toward the upstream.
+  rpc::RpcCall nfs_call_(nfs::Proc proc, rpc::MessagePtr args, const rpc::Credential& cred);
   template <typename Res>
   Result<std::shared_ptr<const Res>> upstream_as_(sim::Process& p, nfs::Proc proc,
                                                   rpc::MessagePtr args,
@@ -290,7 +283,8 @@ class GvfsProxy final : public rpc::RpcHandler {
 
   // -- block cache internals -------------------------------------------------
   // Read one proxy block (block index in fetch_block units) through the
-  // cache; returns its data (may be short at EOF).
+  // cache, then the pending-write log, then the upstream; returns its data
+  // (may be short at EOF).
   Result<blob::BlobRef> get_block_(sim::Process& p, const nfs::Fh& fh, u64 block,
                                    const rpc::Credential& cred);
   // The cache-miss upstream READ (single-flight wraps this).
@@ -300,59 +294,75 @@ class GvfsProxy final : public rpc::RpcHandler {
   // is detected.
   void maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block, u64 file_size,
                        const rpc::Credential& cred);
+  // The block cache's write-back hook: stages the block in the log, then
+  // leaves it to the flusher (async) or drains it inline with FILE_SYNC.
   Status cache_writeback_(sim::Process& p, const cache::BlockId& id,
                           const blob::BlobRef& data);
+  // Write back the block cache's dirty blocks (one file's, or all), then
+  // drain the log inline: every durability point (signals, honest COMMIT,
+  // recall, revalidation, truncate) goes through here.
+  Status write_back_(sim::Process& p, std::optional<u64> file_key = std::nullopt);
 
-  // -- async write-back flusher ----------------------------------------------
-  // One file's pending dirty blocks awaiting the flusher, newest data wins.
-  // Each block carries the global write sequence stamp it was enqueued with
-  // so recency survives extraction, re-queueing, and parking for replay.
-  struct FlushBlock {
+  // -- the pending-write log (DESIGN.md §5.5) --------------------------------
+  // Every staged byte range not yet acknowledged upstream: dirty blocks from
+  // the block cache (block-aligned offsets) and write-through WRITEs
+  // acknowledged during an outage (raw offsets). One entry per key holds the
+  // newest bytes; it leaves the log only when a send carrying its current
+  // stamp is acknowledged, so bytes in flight stay readable.
+  using LogKey = std::pair<u64, u64>;  // (file_key, byte offset)
+  struct PendingWrite {
+    nfs::Fh fh;
+    blob::BlobRef data;
+    u64 seq = 0;    // next_write_seq_ stamp of `data`
+    u64 order = 0;  // drain position (first enqueue) while queued
+    u64 sent = 0;   // stamp of the newest send still in flight (0: none)
+    bool parked = false;  // failed mid-outage: waits for the reconnect replay
+    // Waiting for a flush drain: not parked, current bytes not yet sent.
+    [[nodiscard]] bool queued() const { return !parked && sent != seq; }
+  };
+  // A send's copy of one entry: the bytes and the stamp it carries.
+  struct Staged {
+    LogKey key;
     blob::BlobRef data;
     u64 seq = 0;
   };
-  struct FlushQueue {
-    nfs::Fh fh;
-    std::vector<u64> order;                        // block indices, FIFO
-    std::unordered_map<u64, FlushBlock> blocks;    // block -> newest data
-  };
-  void enqueue_flush_(sim::Process& p, const nfs::Fh& fh, u64 block,
-                      const blob::BlobRef& data, u64 seq);
-  void maybe_spawn_flusher_(sim::Process& p);
-  // Drain every queued file (FIFO by first enqueue). Re-entrant: a file is
-  // extracted before its RPCs are issued, so the background flusher and a
-  // synchronous signal_write_back can drain concurrently.
-  Status drain_flush_queues_(sim::Process& p);
-  // Pipelined UNSTABLE bursts + one COMMIT; verifier-checked re-send.
-  Status flush_file_(sim::Process& p, const FlushQueue& q);
-  // Pending (or in-flight) flush data for a block, newest wins.
-  [[nodiscard]] std::optional<blob::BlobRef> flush_pending_block_(u64 file_key,
-                                                                 u64 block) const;
+  // How an entry leaves flight when its send ends (if its stamp is unchanged).
+  enum class Settle { kDone, kPark, kRequeue };
+
+  // Record `data` as the newest bytes for `key` under a fresh stamp (a
+  // shorter write keeps the older bytes' tail). `parked` entries wait for
+  // the replay; the others for a drain.
+  PendingWrite& stage_(const nfs::Fh& fh, const LogKey& key, const blob::BlobRef& data,
+                       bool parked);
+  void settle_(const LogKey& key, u64 seq, Settle how);
+  // A failed send parks its entries (instead of failing) while degraded.
+  [[nodiscard]] bool parks_(const Status& st) const;
+  // The next file to flush (the one holding the oldest queued entry) with
+  // its queued entries in first-enqueue order, marked in flight.
+  std::vector<Staged> take_batch_(nfs::Fh& fh);
+  // Async drain: flush files until nothing is queued. Re-entrant — entries
+  // are marked in flight before their RPCs, so the background flusher and
+  // inline drains never send the same bytes twice.
+  Status drain_(sim::Process& p);
+  // One file's batch: pipelined UNSTABLE bursts + one COMMIT, re-sent on a
+  // verifier mismatch; settles the batch however the sends end.
+  Status flush_file_(sim::Process& p, const nfs::Fh& fh, const std::vector<Staged>& batch);
+  // Reconnect: FILE_SYNC drain of the parked entries, oldest stamp first,
+  // behind the lease fence; the outage closes once none is left.
+  Status replay_parked_(sim::Process& p);
+  // The newest staged bytes of one block: every entry overlapping its byte
+  // range, applied in stamp order. `queued` reports whether any of them is
+  // headed for a flush rather than parked.
+  [[nodiscard]] std::optional<blob::BlobRef> staged_block_(u64 file_key, u64 block,
+                                                          bool* queued = nullptr) const;
+  // Truncate support: drop the file's cached frames wholly past `size` and
+  // its log entries at or past it (except in-flight ones), and trim entries
+  // straddling it.
+  void drop_staged_(u64 file_key, u64 size);
 
   // -- degraded mode ---------------------------------------------------------
-  // Enqueue (coalescing, recency decided by `seq`) a write for replay after
-  // the outage.
-  void queue_degraded_write_(const nfs::Fh& fh, u64 offset,
-                             const blob::BlobRef& data, u64 seq);
-  // Neutralize parked writes overlapping data that is about to head upstream
-  // — otherwise the replay triggered by that very write's success would put
-  // the stale parked bytes back over it. Fully covered entries are dropped;
-  // partially overlapping (non-block-aligned) ones are patched with the new
-  // bytes. Parked entries stamped newer than `seq` are left alone.
-  void supersede_parked_write_(u64 file_key, u64 offset,
-                               const blob::BlobRef& data, u64 seq);
-  void rebuild_write_queue_index_();
-  // True if any queued degraded write overlaps the block's byte range.
-  [[nodiscard]] bool block_has_queued_write_(u64 file_key, u64 block) const;
-  // Record an upstream timeout (opens an outage) / a success (closes it once
-  // the queue drains).
+  // Record an upstream timeout (opens an outage; replay_parked_ closes it).
   void note_upstream_timeout_(SimTime now);
-  void note_upstream_ok_(sim::Process& p);
-  Status replay_write_queue_(sim::Process& p);
-  // Serve a whole block from the pending write queue if a queued write-back
-  // covers it (a queued block left the cache; its data must stay readable).
-  [[nodiscard]] std::optional<blob::BlobRef> queued_block_(u64 file_key,
-                                                          u64 block) const;
   // Attribute lookup ignoring the TTL (stale is better than nothing while
   // the upstream is unreachable). Keys served during an outage are recorded
   // in stale_served_ for the reconnect-time re-probe.
@@ -405,32 +415,24 @@ class GvfsProxy final : public rpc::RpcHandler {
   };
   std::unordered_map<u64, AccessProfile> profiles_;
 
-  // Write-backs queued while the upstream was unreachable. Each entry is
-  // stamped with the global write sequence number of its newest bytes;
-  // recency (degraded-read assembly, replay ordering, supersede decisions)
-  // is decided by `seq`, never by position in the vector — coalescing keeps
-  // an entry at its original slot while bumping its stamp.
-  struct PendingWrite {
-    nfs::Fh fh;
-    u64 offset = 0;
-    blob::BlobRef data;
-    u64 seq = 0;
-  };
-  std::vector<PendingWrite> write_queue_;
-  // (file_key, offset) -> index into write_queue_; repeated writes to the
-  // same offset coalesce in place (newest wins) and degraded reads walk one
-  // file's entries in offset order instead of scanning the whole queue.
-  std::map<std::pair<u64, u64>, std::size_t> write_queue_index_;
-  // Dynamic half of the yield-point analysis (DESIGN.md §5.8): bumped on
-  // every structural mutation of write_queue_ / write_queue_index_ (park,
-  // supersede-erase, replay-erase, index rebuild). YieldGuards in the
-  // yield-free readers (block_has_queued_write_, queued_block_) assert it
-  // holds still while their raw references into the queue are live.
-  MutationEpoch write_queue_epoch_;
-  // Global recency stamp shared by flush-queue blocks and parked degraded
-  // writes (a per-write Lamport clock; the sim is cooperative so a plain
-  // counter is exact).
+  // The pending-write log and its recency clock: every write entering the
+  // log draws a stamp (and every requeue a fresh drain position) from one
+  // per-write Lamport clock — the sim is cooperative, so a counter is exact.
+  std::map<LogKey, PendingWrite> log_;
   u64 next_write_seq_ = 1;
+  // Longest entry ever staged: an entry overlapping a block starts at most
+  // this far before it (write-back entries are one block at most,
+  // write-through ones as long as the downstream WRITE).
+  u64 max_staged_len_ = 0;
+  // Dynamic half of the yield-point analysis (DESIGN.md §5.8): bumped on
+  // every insert into / erase from log_; the YieldGuard in staged_block_
+  // asserts it holds still while entry iterators are live.
+  MutationEpoch log_epoch_;
+  // Woken whenever a send settles: a truncate waits on it for the file's
+  // in-flight sends (created on first use).
+  std::unique_ptr<sim::Signal> settled_;
+  bool flusher_active_ = false;
+  bool sync_drain_ = false;  // an inline drain runs; evictions don't spawn
   bool upstream_down_ = false;
   bool replaying_ = false;
   SimTime outage_started_ = 0;
@@ -440,20 +442,6 @@ class GvfsProxy final : public rpc::RpcHandler {
   metrics::Counter queued_writebacks_;
   metrics::Counter replayed_writebacks_;
   metrics::Counter coalesced_writebacks_;
-
-  // ---- async write-back flusher state --------------------------------------
-  std::unordered_map<u64, FlushQueue> flush_queues_;  // file_key
-  std::vector<u64> flush_file_order_;                 // first-enqueue FIFO
-  // Files whose extracted queue is mid-flush (RPCs in flight); their data
-  // must stay readable until the flush lands or the blocks are re-queued.
-  std::vector<std::pair<u64, const FlushQueue*>> draining_;
-  // Bumped on every structural mutation of the flusher containers
-  // (flush_queues_ / flush_file_order_ / draining_); the YieldGuard in
-  // flush_pending_block_ asserts the family holds still while it chases
-  // pointers into extracted queues.
-  MutationEpoch flush_epoch_;
-  bool flusher_active_ = false;
-  bool sync_drain_ = false;  // signal_write_back drains inline; don't spawn
   metrics::Counter flush_enqueued_;
   metrics::Counter flush_unstable_writes_;
   metrics::Counter flush_commits_;
@@ -461,13 +449,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   metrics::Counter flush_queue_reads_;
 
   // ---- single-flight miss coalescing ---------------------------------------
-  struct InflightFetch {
-    std::unique_ptr<sim::Signal> done;
-    bool complete = false;
-    Status status = Status::ok();
-    blob::BlobRef data;
-  };
-  std::map<std::pair<u64, u64>, std::shared_ptr<InflightFetch>> inflight_;
+  SingleFlight<std::pair<u64, u64>, Result<blob::BlobRef>> inflight_;
   metrics::Counter single_flight_leads_;
   metrics::Counter single_flight_waits_;
 

@@ -230,9 +230,16 @@ void BufferCache::invalidate_file(sim::Process& p, u64 file) {
   }
 }
 
-void BufferCache::discard_file(u64 file) {
+void BufferCache::discard_file(u64 file, u64 from) {
   for (u32 slot = 0; slot < slab_.size(); ++slot) {
-    if (slab_[slot].live && slab_[slot].file == file) remove_(slot);
+    Entry& e = slab_[slot];
+    if (!e.live || e.file != file) continue;
+    const u64 start = e.page * page_size_;
+    if (start >= from) {
+      remove_(slot);
+    } else if (e.data && start + e.data->size() > from) {
+      e.data = std::make_shared<blob::SliceBlob>(e.data, 0, from - start);
+    }
   }
 }
 

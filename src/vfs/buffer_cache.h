@@ -64,9 +64,10 @@ class BufferCache {
   // stay resident and dirty.
   void invalidate_file(sim::Process& p, u64 file);
 
-  // Drop all pages of a file WITHOUT writeback (truncate semantics: staged
-  // data past the truncation point must not be written back).
-  void discard_file(u64 file);
+  // Drop a file's pages at or past byte `from` WITHOUT writeback, trimming
+  // the page that straddles it (truncate semantics: staged data past the
+  // truncation point must not be written back; staged data below it must).
+  void discard_file(u64 file, u64 from = 0);
 
   // File keys that currently have dirty pages.
   [[nodiscard]] std::vector<u64> dirty_files() const;

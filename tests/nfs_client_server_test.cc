@@ -200,6 +200,39 @@ TEST(NfsClientServer, TruncateDiscardsStagedData) {
   });
 }
 
+// Regression: truncate used to discard every staged page of the file, so
+// bytes written below the new size (already acknowledged to the writer)
+// never reached the server, which kept zeros there. Only pages at or past
+// the new size are dropped now; the page straddling it is trimmed.
+TEST(NfsClientServer, TruncateKeepsStagedDataBelowNewSize) {
+  Fixture f;
+  auto content = blob::make_synthetic(17, 64_KiB, 0, 2.0);
+  const u64 cut = 48_KiB + 100;  // not page-aligned: one page is trimmed
+  f.run([&](sim::Process& p, NfsClient& c) {
+    ASSERT_TRUE(c.create(p, "/t").is_ok());
+    ASSERT_OK(c.write(p, "/t", 0, content));
+    ASSERT_OK(c.truncate(p, "/t", cut));
+    ASSERT_OK(c.flush(p));
+  });
+  auto file = f.fs.get_file("/exports/t");
+  ASSERT_TRUE(file.is_ok());
+  ASSERT_EQ((*file)->size(), cut);
+  EXPECT_EQ(blob::content_hash(**file), blob::content_hash(blob::SliceBlob(content, 0, cut)));
+}
+
+TEST(NfsClientServer, TruncateToZeroSendsOnlySetattr) {
+  Fixture f;
+  f.run([&](sim::Process& p, NfsClient& c) {
+    ASSERT_TRUE(c.create(p, "/t").is_ok());
+    ASSERT_OK(c.write(p, "/t", 0, blob::make_synthetic(18, 64_KiB, 0, 2.0)));
+    u64 calls_before = f.server.total_calls();
+    ASSERT_OK(c.truncate(p, "/t", 0));
+    ASSERT_OK(c.flush(p));  // nothing staged survives a truncate to zero
+    EXPECT_EQ(f.server.total_calls(), calls_before + 1);
+  });
+  EXPECT_EQ((*f.fs.get_file("/exports/t"))->size(), 0u);
+}
+
 TEST(NfsClientServer, SymlinkCreated) {
   Fixture f;
   f.run([&](sim::Process& p, NfsClient& c) {

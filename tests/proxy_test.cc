@@ -368,6 +368,28 @@ TEST(Proxy, TruncateInvalidatesCachedBlocks) {
   });
 }
 
+// Regression: a shrinking SETATTR used to drop every dirty frame of the
+// file, acknowledged bytes below the new EOF included, so the server kept
+// zeros there. The proxy now pushes staged bytes below the new size before
+// the truncate goes upstream.
+TEST(Proxy, TruncateKeepsStagedBytesBelowNewSize) {
+  ProxyFixture f;
+  ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(64_KiB)).is_ok());
+  auto content = blob::make_synthetic(13, 64_KiB, 0, 2.0);
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(f.client.write(p, "/f", 0, content));
+    ASSERT_OK(f.client.flush(p));
+    EXPECT_EQ(f.block_cache.dirty_blocks(), 2u);
+    ASSERT_OK(f.client.truncate(p, "/f", 48_KiB));
+    ASSERT_OK(f.client_proxy.signal_write_back(p));
+  });
+  auto file = f.server_fs.get_file("/exports/f");
+  ASSERT_TRUE(file.is_ok());
+  ASSERT_EQ((*file)->size(), 48_KiB);
+  EXPECT_EQ(blob::content_hash(**file),
+            blob::content_hash(blob::SliceBlob(content, 0, 48_KiB)));
+}
+
 TEST(Proxy, WriteThroughForwardsSynchronously) {
   ProxyFixture f;
   // Rebuild client-side with write-through policy.

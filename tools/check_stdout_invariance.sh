@@ -12,10 +12,16 @@
 # static version of this gate). bench_micro is excluded by design: it
 # prints host wall-clock timings.
 #
+# The bench list is the name column of tools/golden_stdout.sha256; CI and
+# tools/run_benches.sh read it from there too. To add a simulated bench
+# bench/bench_<name>: append a line "- <name>" to the golden (any
+# placeholder in the hash column) and run with --update.
+#
 # Usage: tools/check_stdout_invariance.sh [build-dir]
 #   Builds the bench binaries if needed, runs each twice, diffs, hashes.
 #   --update rewrites tools/golden_stdout.sha256 from the current binaries
-#   (use only when a PR intentionally changes simulated results).
+#   (use only when a PR intentionally changes simulated results or adds a
+#   bench).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,10 +33,7 @@ fi
 build_dir="${1:-$repo_root/build}"
 golden="$repo_root/tools/golden_stdout.sha256"
 
-benches=(ablate_cache ablate_cascade ablate_meta ablate_prefetch
-         ablate_writeback boot_storm dedup fault_recovery fig3_specseis
-         fig4_latex fig5_kernel fig6_cloning origin_cluster
-         shared_writeback table1_parallel zerofilter)
+mapfile -t benches < <(awk 'NF { print $2 }' "$golden")
 
 cmake -B "$build_dir" -S "$repo_root" >/dev/null
 cmake --build "$build_dir" -j "$(nproc)" \

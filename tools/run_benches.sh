@@ -13,25 +13,10 @@ out_dir="${2:-$repo_root/bench-reports}"
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$(nproc)"
 
-benches=(
-  bench_fig3_specseis
-  bench_fig4_latex
-  bench_fig5_kernel
-  bench_fig6_cloning
-  bench_table1_parallel
-  bench_zerofilter
-  bench_ablate_cache
-  bench_ablate_cascade
-  bench_ablate_meta
-  bench_ablate_prefetch
-  bench_ablate_writeback
-  bench_fault_recovery
-  bench_shared_writeback
-  bench_boot_storm
-  bench_origin_cluster
-  bench_dedup
-  bench_micro
-)
+# The simulated benches are the golden-hash list (see
+# tools/check_stdout_invariance.sh); bench_micro times the host instead.
+mapfile -t benches < <(awk 'NF { print "bench_" $2 }' "$repo_root/tools/golden_stdout.sha256")
+benches+=(bench_micro)
 
 mkdir -p "$out_dir"
 run_dir="$(mktemp -d)"

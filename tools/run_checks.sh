@@ -6,14 +6,15 @@
 #                        including the interprocedural yield-point analysis
 #                        (yield-stale-ref / yield-index-loop / yield-held-lock)
 #                        and the committed may-yield-model golden diff
-#   2. stdout invariance 16 simulated benches run twice each; stdout must be
-#                        byte-identical run-to-run and match the committed
-#                        tools/golden_stdout.sha256
+#   2. stdout invariance every simulated bench listed in
+#                        tools/golden_stdout.sha256 runs twice; stdout must be
+#                        byte-identical run-to-run and match the committed hash
 #   3. ASan/UBSan        full test suite (incl. ctest -L faults) under
 #                        AddressSanitizer + UndefinedBehaviorSanitizer
-#   4. TSan              full test suite under ThreadSanitizer; the sim is
-#                        thread-per-process, so the locking in sim/kernel.cc
-#                        gets real concurrency coverage here
+#   4. TSan              full test suite under ThreadSanitizer; the sim runs
+#                        its processes as fibers on one OS thread, announced
+#                        to TSan at every switch (sim/fiber.cc), so this checks
+#                        the fiber handoff rather than lock-based concurrency
 #   5. clang-tidy        bugprone-*/performance-*/concurrency-* profile from
 #                        .clang-tidy — runs only when clang-tidy is on PATH
 #                        (the baked-in container toolchain is gcc-only)
