@@ -173,6 +173,36 @@ TEST(BlockCache, WriteBackAllCleansButKeepsCached) {
   EXPECT_EQ(upstream_writes, 2);
 }
 
+// Regression: a write-back cleared the frame's dirty bit after its upstream
+// write even when a newer write landed in the frame during that write's
+// yield, so the newer bytes sat clean in the cache and never went upstream.
+TEST(BlockCache, WriteLandingDuringWriteBackStaysDirty) {
+  for (bool whole_cache : {false, true}) {
+    CacheFixture f;
+    ProxyDiskCache c(f.disk, f.small_cfg());
+    std::vector<u8> pushed;  // first byte of every block written back
+    c.set_writeback([&](sim::Process& p, const BlockId&, const blob::BlobRef& data) {
+      std::vector<u8> first(1);
+      data->read(0, first);
+      pushed.push_back(first[0]);
+      p.delay(10 * kMillisecond);  // the upstream WRITE's round trip
+      return Status::ok();
+    });
+    f.run([&](sim::Process& p) {
+      ASSERT_OK(c.insert(p, BlockId{1, 0}, block_data(1), true));
+      (void)p.kernel().spawn("writer", [&](sim::Process& q) {
+        ASSERT_OK(c.insert(q, BlockId{1, 0}, block_data(2), true));
+      }, 5 * kMillisecond);
+      ASSERT_OK(whole_cache ? c.write_back_all(p) : c.write_back_file(p, 1));
+      EXPECT_EQ(c.dirty_blocks(), 1u);
+      EXPECT_EQ(c.file_dirty_blocks(1), 1u);
+      ASSERT_OK(whole_cache ? c.write_back_all(p) : c.write_back_file(p, 1));
+      EXPECT_EQ(c.dirty_blocks(), 0u);
+    });
+    EXPECT_EQ(pushed, (std::vector<u8>{1, 2})) << (whole_cache ? "all" : "file");
+  }
+}
+
 TEST(BlockCache, FlushAndInvalidateEmptiesCache) {
   CacheFixture f;
   ProxyDiskCache c(f.disk, f.small_cfg());
