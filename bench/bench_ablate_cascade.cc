@@ -13,7 +13,7 @@ namespace {
 Result<std::vector<double>> run(bool lan_level, int nodes, bench::MetricsLog& mlog) {
   core::TestbedOptions opt;
   opt.scenario = core::Scenario::kWanCached;
-  opt.second_level_lan_cache = lan_level;
+  opt.shared_l2_cache = lan_level;
   opt.compute_nodes = nodes;
   core::Testbed bed(opt);
   auto image = bed.install_image(bench::clone_vm_spec());

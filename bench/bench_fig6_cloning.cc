@@ -124,7 +124,7 @@ int main() {
   {
     core::TestbedOptions opt;
     opt.scenario = core::Scenario::kWanCached;
-    opt.second_level_lan_cache = true;
+    opt.shared_l2_cache = true;
     core::Testbed bed(opt);
     auto images = install_images(bed, kClones, /*distinct=*/true);
     auto r = run_sequence(bed, images, /*prewarm_lan=*/true);

@@ -13,7 +13,7 @@ int main() {
   constexpr int kNodes = 3;
   core::TestbedOptions opt;
   opt.scenario = core::Scenario::kWanCached;
-  opt.second_level_lan_cache = true;
+  opt.shared_l2_cache = true;
   opt.compute_nodes = kNodes;
   core::Testbed bed(opt);
 

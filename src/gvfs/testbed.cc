@@ -19,6 +19,16 @@ const char* scenario_name(Scenario s) {
   return "?";
 }
 
+// One hop of a node toward an upstream handler, built by make_stack_(). The
+// layers are heap-owned, so `top` stays valid when the stack moves.
+struct Testbed::ChannelStack {
+  std::unique_ptr<rpc::RpcChannel> transport;      // SSH tunnel or direct link
+  std::unique_ptr<rpc::FaultyChannel> faulty;      // fault injection only
+  std::unique_ptr<rpc::RetryChannel> retry;        // retransmission above faults
+  std::unique_ptr<rpc::CompressChannel> compress;  // client end of the WAN pair
+  rpc::RpcChannel* top = nullptr;                  // the outermost layer
+};
+
 struct Testbed::Node {
   std::unique_ptr<vfs::MemFs> fs;
   std::unique_ptr<sim::DiskModel> disk;
@@ -29,36 +39,22 @@ struct Testbed::Node {
   std::unique_ptr<cache::FileCache> file_cache;
   std::unique_ptr<ssh::Scp> scp;
   std::unique_ptr<meta::FileChannelClient> file_channel;
-  std::unique_ptr<ssh::SshTunnel> tunnel;
-  std::unique_ptr<rpc::FaultyChannel> faulty;  // wraps tunnel/direct when faults on
-  std::unique_ptr<rpc::RetryChannel> retry;    // retransmission layer above faults
-  std::unique_ptr<rpc::CompressChannel> compress;  // client end of the WAN pair
-  // Origin-cluster wiring: one full channel stack per origin, federated by
-  // the node's ShardRouter (which then serves as the proxy's upstream).
-  // Declared before client_proxy so the proxy's upstream outlives it.
-  std::vector<std::unique_ptr<ssh::SshTunnel>> origin_tunnels;
-  std::vector<std::unique_ptr<rpc::FaultyChannel>> origin_faulty;
-  std::vector<std::unique_ptr<rpc::RetryChannel>> origin_retry;
-  std::vector<std::unique_ptr<rpc::CompressChannel>> origin_compress;
+  // One stack per origin (or one to the L2), federated by the router when
+  // there is more than one. Declared before client_proxy so the proxy's
+  // upstream outlives it.
+  std::vector<ChannelStack> upstreams;
   std::unique_ptr<proxy::ShardRouter> router;
   std::unique_ptr<proxy::GvfsProxy> client_proxy;
-  // Lease-recall callback stacks (enable_leases): the rpc::Channel decorator
-  // chain in reverse — an SshTunnel whose handler is this node's proxy with
-  // the link pair swapped (recalls travel the server->client direction), the
-  // same FaultyChannel/RetryChannel semantics as the forward path. One stack
-  // for the single origin, one per origin in cluster mode. Declared after
-  // client_proxy: destroyed first, so they never outlive their handler.
-  std::vector<std::unique_ptr<ssh::SshTunnel>> cb_tunnels;
-  std::vector<std::unique_ptr<rpc::FaultyChannel>> cb_faulty;
-  std::vector<std::unique_ptr<rpc::RetryChannel>> cb_retry;
+  // Lease-recall callback stacks (enable_leases), one per origin. Declared
+  // after client_proxy: destroyed first, so they never outlive their handler.
+  std::vector<ChannelStack> callbacks;
   std::unique_ptr<rpc::LinkChannel> loopback;
-  std::unique_ptr<rpc::LinkChannel> direct;
   std::unique_ptr<nfs::NfsClient> client;
 };
 
-// One origin of the sharded, replicated image cluster: a full server-side
-// stack (fs + disk + cpu + NfsServer + loopback + id-mapping proxy), the
-// same shape build_server_side_() wires for the single-origin topologies.
+// One origin image server: a full server-side stack (fs + disk + cpu +
+// NfsServer + loopback + id-mapping proxy), plus with wire_compression the
+// origin end of the compressed WAN hop.
 struct Testbed::Origin {
   std::unique_ptr<vfs::MemFs> fs;
   std::unique_ptr<sim::DiskModel> disk;
@@ -67,13 +63,20 @@ struct Testbed::Origin {
   std::unique_ptr<rpc::LinkChannel> loop;
   std::unique_ptr<proxy::GvfsProxy> proxy;
   std::unique_ptr<rpc::CompressHandler> compress;  // wire_compression only
+  // What a tunnel to this origin targets.
+  rpc::RpcHandler& entry() {
+    return compress ? static_cast<rpc::RpcHandler&>(*compress) : *proxy;
+  }
 };
 
 namespace {
 
+// Bound on the in-memory ring of completed RPC trace spans.
+constexpr u32 kTraceCapacity = 256;
+
 // Logical user accounts: remap the grid identity onto a short-lived local
-// shadow account allocated for this session (§3.1). Shared by the single
-// origin and every cluster origin.
+// shadow account allocated for this session (§3.1). Every origin's proxy
+// applies it.
 rpc::Credential map_shadow_cred(const rpc::Credential& in) {
   rpc::Credential out = in;
   out.uid = 500 + in.uid % 100;
@@ -96,7 +99,7 @@ rpc::CompressConfig wan_compress_cfg(const NetProfile& net, sim::CpuPool* cpu) {
 
 Testbed::Testbed(TestbedOptions opt) : opt_(std::move(opt)) {
   if (opt_.enable_rpc_trace) {
-    tracer_ = std::make_unique<trace::RpcTracer>(opt_.trace_capacity);
+    tracer_ = std::make_unique<trace::RpcTracer>(kTraceCapacity);
     tracer_->register_metrics(registry_, "trace.");
   }
 
@@ -120,42 +123,9 @@ Testbed::Testbed(TestbedOptions opt) : opt_(std::move(opt)) {
   }
 
   if (opt_.scenario != Scenario::kLocal) {
-    if (opt_.origin_cluster) {
-      build_origin_cluster_();
-    } else {
-      build_server_side_();
-    }
-    // The LAN L2 cache topologies assume the single origin; origin_cluster
-    // replaces that tier with the replicated origins themselves.
-    if (!opt_.origin_cluster &&
-        (opt_.second_level_lan_cache || opt_.shared_l2_cache)) {
-      build_lan_cache_node_();
-    }
-  }
-  if (faults_ && server_) {
-    // A crash loses the server's volatile state: page cache, the duplicate
-    // request cache, and any uncommitted UNSTABLE writes — the rolled write
-    // verifier is how clients find out (RFC 1813 §3.3.7).
-    faults_->set_on_restart([this] {
-      server_->drop_caches();
-      server_->clear_drc();
-      server_->roll_write_verifier();
-      // Leases are volatile too: a rebooted server has no memory of its
-      // grants, and holders must re-acquire (the proxy fencing path).
-      server_->clear_leases();
-    });
-  }
-  if (faults_ && !origins_.empty()) {
-    // Same volatility contract per origin, keyed by server id so a crash
-    // window scoped to one replica reboots only that replica.
-    for (std::size_t j = 0; j < origins_.size(); ++j) {
-      faults_->set_on_restart(static_cast<int>(j), [srv = origin_server(static_cast<int>(j))] {
-        srv->drop_caches();
-        srv->clear_drc();
-        srv->roll_write_verifier();
-        srv->clear_leases();
-      });
-    }
+    build_origins_();
+    // The LAN L2 caches a single origin.
+    if (opt_.shared_l2_cache && origins_.size() == 1) build_lan_cache_node_();
   }
   resolve_shared_node_config_();
   nodes_.reserve(static_cast<std::size_t>(opt_.compute_nodes));
@@ -184,46 +154,17 @@ std::unique_ptr<nfs::NfsServer> Testbed::make_origin_server_(vfs::MemFs& fs,
   return std::make_unique<nfs::NfsServer>(kernel_, fs, disk, scfg);
 }
 
-void Testbed::build_server_side_() {
-  image_fs_ = std::make_unique<vfs::MemFs>();
-  image_fs_->set_clock([this] { return kernel_.now(); });
-  image_disk_ = std::make_unique<sim::DiskModel>(kernel_, "image-disk", opt_.net.disk);
-  image_cpu_ = std::make_unique<sim::CpuPool>(kernel_, opt_.net.image_server_cpus);
-
-  server_ = make_origin_server_(*image_fs_, *image_disk_);
-  Status st = server_->add_export(opt_.export_path);
-  if (!st.is_ok()) GVFS_ERROR("testbed") << "export failed: " << st.to_string();
-
-  server_loop_ = std::make_unique<rpc::LinkChannel>(*server_, nullptr, nullptr,
-                                                    10 * kMicrosecond);
-  proxy::ProxyConfig spcfg;
-  spcfg.name = "server-proxy";
-  spcfg.enable_meta = false;  // server side only authenticates and maps ids
-  server_proxy_ = std::make_unique<proxy::GvfsProxy>(spcfg, *server_loop_);
-  server_proxy_->set_cred_mapper(map_shadow_cred);
-
-  server_endpoint_ = std::make_unique<meta::ServerFileChannel>(
-      *image_fs_, *image_disk_, image_cpu_.get(), opt_.net.gzip);
-
-  server_->register_metrics(registry_, "server.");
-  image_disk_->register_metrics(registry_, "server.disk.");
-  server_proxy_->register_metrics(registry_, "server_proxy.");
-  server_endpoint_->register_metrics(registry_, "server_endpoint.");
-  if (tracer_) {
-    server_->set_tracer(tracer_.get());
-    server_proxy_->set_tracer(tracer_.get());
-  }
-}
-
-void Testbed::build_origin_cluster_() {
-  u32 n = std::max<u32>(1, opt_.origin_shards);
+void Testbed::build_origins_() {
+  const u32 n = opt_.origin_cluster ? std::max<u32>(1, opt_.origin_shards) : 1;
   origins_.reserve(n);
   for (u32 j = 0; j < n; ++j) {
     auto o = std::make_unique<Origin>();
-    std::string tag = "origin" + std::to_string(j);
+    // The single origin keeps the paper topology's "server" ids; a cluster
+    // prefixes them with the origin's index.
+    const std::string tag = n > 1 ? "origin" + std::to_string(j) + "." : "";
     o->fs = std::make_unique<vfs::MemFs>();
     o->fs->set_clock([this] { return kernel_.now(); });
-    o->disk = std::make_unique<sim::DiskModel>(kernel_, tag + "-disk", opt_.net.disk);
+    o->disk = std::make_unique<sim::DiskModel>(kernel_, tag + "image-disk", opt_.net.disk);
     o->cpu = std::make_unique<sim::CpuPool>(kernel_, opt_.net.image_server_cpus);
     o->server = make_origin_server_(*o->fs, *o->disk);
     Status st = o->server->add_export(opt_.export_path);
@@ -231,19 +172,33 @@ void Testbed::build_origin_cluster_() {
     o->loop = std::make_unique<rpc::LinkChannel>(*o->server, nullptr, nullptr,
                                                  10 * kMicrosecond);
     proxy::ProxyConfig spcfg;
-    spcfg.name = tag + "-proxy";
-    spcfg.enable_meta = false;
+    spcfg.name = tag + "server-proxy";
+    spcfg.enable_meta = false;  // server side only authenticates and maps ids
     o->proxy = std::make_unique<proxy::GvfsProxy>(spcfg, *o->loop);
     o->proxy->set_cred_mapper(map_shadow_cred);
     if (opt_.wire_compression) {
       o->compress = std::make_unique<rpc::CompressHandler>(
           *o->proxy, wan_compress_cfg(opt_.net, o->cpu.get()));
-      o->compress->register_metrics(registry_, tag + ".compress.");
+      o->compress->register_metrics(registry_, tag + "server_compress.");
+    }
+    if (faults_) {
+      // A crash loses the server's volatile state: page cache, the duplicate
+      // request cache, and any uncommitted UNSTABLE writes — the rolled write
+      // verifier is how clients find out (RFC 1813 §3.3.7). Leases are
+      // volatile too: holders must re-acquire (the proxy fencing path). The
+      // hook is keyed by origin id, so a crash window scoped to one replica
+      // reboots only that replica.
+      faults_->set_on_restart(static_cast<int>(j), [srv = o->server.get()] {
+        srv->drop_caches();
+        srv->clear_drc();
+        srv->roll_write_verifier();
+        srv->clear_leases();
+      });
     }
 
-    o->server->register_metrics(registry_, tag + ".server.");
-    o->disk->register_metrics(registry_, tag + ".disk.");
-    o->proxy->register_metrics(registry_, tag + ".proxy.");
+    o->server->register_metrics(registry_, tag + "server.");
+    o->disk->register_metrics(registry_, tag + "server.disk.");
+    o->proxy->register_metrics(registry_, tag + "server_proxy.");
     if (tracer_) {
       o->server->set_tracer(tracer_.get());
       o->proxy->set_tracer(tracer_.get());
@@ -253,8 +208,9 @@ void Testbed::build_origin_cluster_() {
   // The meta/file channel reads from origin 0: .vmss meta-data is installed
   // identically everywhere and the channel is read-only, so one origin
   // serving it keeps the path simple.
+  Origin& first = *origins_[0];
   server_endpoint_ = std::make_unique<meta::ServerFileChannel>(
-      *origins_[0]->fs, *origins_[0]->disk, origins_[0]->cpu.get(), opt_.net.gzip);
+      *first.fs, *first.disk, first.cpu.get(), opt_.net.gzip);
   server_endpoint_->register_metrics(registry_, "server_endpoint.");
 }
 
@@ -263,47 +219,38 @@ void Testbed::build_lan_cache_node_() {
   lan_scp_up_ = std::make_unique<ssh::Scp>(*wan_down_, opt_.net.wan_cipher);
   lan_endpoint_ = std::make_unique<proxy::CachingFileEndpoint>(
       *server_endpoint_, *lan_scp_up_, *lan_disk_, opt_.file_cache_bytes);
-  // Same sharing semantics as the block path below: a storm of clones
-  // missing one golden image crosses the WAN once.
-  lan_endpoint_->set_single_flight(opt_.shared_l2_cache);
   // Content-addressed image sharing: clones of one golden image hold a
   // single compressed copy on the L2 disk.
   lan_endpoint_->set_dedup(opt_.dedup_blocks, opt_.block_cache.dedup_seed);
 
   // Second-level block-cache proxy on the LAN server. With wire_compression
   // the L2 -> origin tunnel is the WAN hop, so the compression pair
-  // straddles it here.
-  rpc::RpcHandler* origin_handler = server_proxy_.get();
-  if (opt_.wire_compression) {
-    lan_compress_handler_ = std::make_unique<rpc::CompressHandler>(
-        *server_proxy_, wan_compress_cfg(opt_.net, image_cpu_.get()));
-    origin_handler = lan_compress_handler_.get();
-  }
-  lan_to_origin_ = std::make_unique<ssh::SshTunnel>(*origin_handler, wan_up_.get(),
-                                                    wan_down_.get(), opt_.net.wan_cipher);
+  // straddles it: the origin's handler, then this end's channel.
+  lan_to_origin_ = std::make_unique<ssh::SshTunnel>(
+      origins_[0]->entry(), wan_up_.get(), wan_down_.get(), opt_.net.wan_cipher);
   rpc::RpcChannel* to_origin = lan_to_origin_.get();
   if (opt_.wire_compression) {
     lan_compress_channel_ = std::make_unique<rpc::CompressChannel>(
         *lan_to_origin_, wan_compress_cfg(opt_.net, nullptr));
     to_origin = lan_compress_channel_.get();
   }
+  // The L2 shares read-only data (§3.2.1), so its cache is write-through:
+  // a node's write-back passes on to the origin. A write-back L2 would
+  // acknowledge the bytes and keep them where no middleware signal reaches.
   cache::BlockCacheConfig l2cfg = opt_.block_cache;
+  l2cfg.policy = cache::WritePolicy::kWriteThrough;
   l2cfg.dedup_blocks = opt_.dedup_blocks;
   lan_block_cache_ = std::make_unique<cache::ProxyDiskCache>(*lan_disk_, l2cfg);
   proxy::ProxyConfig lpcfg;
   lpcfg.name = "lan-l2-proxy";
   lpcfg.enable_meta = false;
-  // Shared read-only cache: concurrent same-block misses from the cloning
-  // nodes collapse into one upstream READ.
-  lpcfg.single_flight = opt_.shared_l2_cache;
   lpcfg.dedup_blocks = opt_.dedup_blocks;
   lan_proxy_ = std::make_unique<proxy::GvfsProxy>(lpcfg, *to_origin);
   lan_proxy_->attach_block_cache(*lan_block_cache_);
 
   lan_disk_->register_metrics(registry_, "lan_l2.disk.");
   lan_scp_up_->register_metrics(registry_, "lan_l2.scp_up.");
-  if (lan_compress_handler_) {
-    lan_compress_handler_->register_metrics(registry_, "server_compress.");
+  if (lan_compress_channel_) {
     lan_compress_channel_->register_metrics(registry_, "lan_l2.compress.");
   }
   lan_endpoint_->register_metrics(registry_, "lan_l2.endpoint.");
@@ -317,40 +264,32 @@ void Testbed::resolve_shared_node_config_() {
   node_cfg_.local.buffer_cache_bytes = opt_.local_page_cache_bytes;
   if (opt_.scenario == Scenario::kLocal) return;
 
+  const bool plain = opt_.scenario == Scenario::kPlainNfsWan;
   node_cfg_.client.buffer_cache_bytes = opt_.client_page_cache_bytes;
-  if (opt_.scenario == Scenario::kPlainNfsWan) {
-    node_cfg_.client.rsize = node_cfg_.client.wsize = opt_.net.plain_rsize;
-    return;
-  }
-  node_cfg_.client.rsize = node_cfg_.client.wsize = opt_.net.gvfs_rsize;
-
+  node_cfg_.client.rsize = node_cfg_.client.wsize =
+      plain ? opt_.net.plain_rsize : opt_.net.gvfs_rsize;
   node_cfg_.cached = opt_.scenario == Scenario::kWanCached;
-  bool wan = opt_.scenario != Scenario::kLan;
 
-  // Client proxy's upstream: either straight to the server-side proxy, or
-  // through the LAN second-level cache proxy (then to the origin).
-  node_cfg_.upstream = server_proxy_.get();
+  // The nodes' upstreams: the LAN second-level cache proxy (then the
+  // origin), or every origin directly.
+  const bool via_lan = node_cfg_.cached && lan_proxy_ != nullptr;
+  const bool wan = opt_.scenario != Scenario::kLan && !via_lan;
   node_cfg_.tun_up = wan ? wan_up_.get() : lan_up_.get();
   node_cfg_.tun_down = wan ? wan_down_.get() : lan_down_.get();
   node_cfg_.tun_cipher = wan ? opt_.net.wan_cipher : opt_.net.lan_cipher;
-  node_cfg_.via_lan = node_cfg_.cached && !opt_.origin_cluster &&
-                      (opt_.second_level_lan_cache || opt_.shared_l2_cache);
-  if (node_cfg_.via_lan) {
-    node_cfg_.upstream = lan_proxy_.get();
-    node_cfg_.tun_up = lan_up_.get();
-    node_cfg_.tun_down = lan_down_.get();
-    node_cfg_.tun_cipher = opt_.net.lan_cipher;
+  if (via_lan) {
+    node_cfg_.upstreams.push_back(lan_proxy_.get());
+  } else {
+    for (auto& o : origins_) {
+      node_cfg_.upstreams.push_back(plain ? static_cast<rpc::RpcHandler*>(o->server.get())
+                                          : &o->entry());
+    }
   }
-
-  // Client end of the compressed WAN hop: the nodes' tunnels cross the WAN
-  // directly (no LAN tier), so the origin-side CompressHandler fronts the
-  // server proxy for every node tunnel built below.
-  if (opt_.wire_compression && !opt_.origin_cluster && !node_cfg_.via_lan) {
-    server_compress_ = std::make_unique<rpc::CompressHandler>(
-        *node_cfg_.upstream, wan_compress_cfg(opt_.net, image_cpu_.get()));
-    server_compress_->register_metrics(registry_, "server_compress.");
-    node_cfg_.upstream = server_compress_.get();
-  }
+  // Client end of the compressed WAN hop: the nodes' tunnels cross it
+  // unless an L2 sits in between (then the pair straddles the L2 -> origin
+  // tunnel). The kernel-NFS baseline never compresses.
+  node_cfg_.compress = opt_.wire_compression && !plain && !via_lan;
+  if (plain) return;
 
   node_cfg_.proxy.fetch_block = static_cast<u32>(opt_.block_cache.block_size);
   node_cfg_.proxy.enable_meta = node_cfg_.cached && opt_.enable_meta;
@@ -359,18 +298,60 @@ void Testbed::resolve_shared_node_config_() {
   node_cfg_.proxy.async_writeback = opt_.enable_async_writeback;
   node_cfg_.proxy.enable_leases = opt_.enable_leases;
   node_cfg_.proxy.dedup_blocks = node_cfg_.cached && opt_.dedup_blocks;
-  node_cfg_.proxy.wire_compression = opt_.wire_compression;
 
   if (node_cfg_.cached) {
     node_cfg_.block_cache = opt_.block_cache;
     node_cfg_.block_cache.policy = opt_.write_policy;
     node_cfg_.block_cache.dedup_blocks = opt_.dedup_blocks;
     node_cfg_.endpoint =
-        node_cfg_.via_lan
-            ? static_cast<meta::RemoteFileEndpoint*>(lan_endpoint_.get())
-            : server_endpoint_.get();
-    node_cfg_.scp_link = node_cfg_.via_lan ? lan_down_.get() : wan_down_.get();
+        via_lan ? static_cast<meta::RemoteFileEndpoint*>(lan_endpoint_.get())
+                : server_endpoint_.get();
+    node_cfg_.scp_link = via_lan ? lan_down_.get() : wan_down_.get();
   }
+}
+
+Testbed::ChannelStack Testbed::make_stack_(rpc::RpcHandler& target, int origin,
+                                           bool reverse, const std::string& tag) {
+  ChannelStack s;
+  // Recalls travel the server -> client direction: swap the link pair.
+  sim::Link* up = reverse ? node_cfg_.tun_down : node_cfg_.tun_up;
+  sim::Link* down = reverse ? node_cfg_.tun_up : node_cfg_.tun_down;
+  if (opt_.scenario == Scenario::kPlainNfsWan) {
+    s.transport = std::make_unique<rpc::LinkChannel>(target, up, down, 30 * kMicrosecond);
+  } else {
+    auto tun = std::make_unique<ssh::SshTunnel>(target, up, down, node_cfg_.tun_cipher);
+    if (!tag.empty()) tun->register_metrics(registry_, tag + "tunnel.");
+    s.transport = std::move(tun);
+  }
+  s.top = s.transport.get();
+
+  // With fault injection the transport is wrapped in the injector
+  // (drops/partitions/crashes, scoped by origin id) and the caller talks
+  // through the retransmission layer, NFS-client-style.
+  if (faults_) {
+    rpc::RetryConfig retry = opt_.retry;
+    // Recall retransmission is bounded: a partitioned holder must lapse at
+    // its lease expiry, not pin a server recall fiber forever.
+    if (reverse && retry.max_retransmits == 0) retry.max_retransmits = 4;
+    s.faulty = std::make_unique<rpc::FaultyChannel>(*s.top, *faults_, origin);
+    s.retry = std::make_unique<rpc::RetryChannel>(*s.faulty, kernel_, retry);
+    s.top = s.retry.get();
+    if (!tag.empty()) s.retry->register_metrics(registry_, tag + "retry.");
+    if (tracer_ && !reverse) {
+      s.faulty->set_tracer(tracer_.get());
+      s.retry->set_tracer(tracer_.get());
+    }
+  }
+
+  // Client end of the compressed WAN hop (outermost, so retransmitted calls
+  // resend the already-wrapped message without re-paying gzip CPU).
+  if (node_cfg_.compress && !reverse) {
+    s.compress = std::make_unique<rpc::CompressChannel>(
+        *s.top, wan_compress_cfg(opt_.net, nullptr));
+    s.top = s.compress.get();
+    if (!tag.empty()) s.compress->register_metrics(registry_, tag + "compress.");
+  }
+  return s;
 }
 
 std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
@@ -396,147 +377,54 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
   cred.gid = 1000;
   cred.machine = tag;
 
+  // One stack per upstream, all sharing the same WAN/LAN pipes. Each
+  // FaultyChannel carries its origin id, so crash windows scoped to one
+  // replica (sim::FaultWindow::server) hit only its stack.
+  const std::size_t n = node_cfg_.upstreams.size();
+  node->upstreams.reserve(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::string stag;
+    if (metrics_on) stag = n > 1 ? tag + ".origin" + std::to_string(j) + "." : tag + ".";
+    node->upstreams.push_back(
+        make_stack_(*node_cfg_.upstreams[j], static_cast<int>(j), /*reverse=*/false, stag));
+  }
+  rpc::RpcChannel* upstream = node->upstreams[0].top;
+  if (n > 1) {
+    std::vector<rpc::RpcChannel*> chans;
+    chans.reserve(n);
+    for (const ChannelStack& s : node->upstreams) chans.push_back(s.top);
+    proxy::ShardRouterConfig rcfg;
+    rcfg.name = tag + "-router";
+    rcfg.replicas = opt_.origin_replicas;
+    node->router = std::make_unique<proxy::ShardRouter>(std::move(chans), rcfg);
+    if (metrics_on) node->router->register_metrics(registry_, tag + ".router.");
+    upstream = node->router.get();
+  }
+
   if (opt_.scenario == Scenario::kPlainNfsWan) {
-    node->direct = std::make_unique<rpc::LinkChannel>(*server(), wan_up_.get(),
-                                                      wan_down_.get(),
-                                                      30 * kMicrosecond);
-    rpc::RpcChannel* chan = node->direct.get();
-    if (faults_) {
-      node->faulty = std::make_unique<rpc::FaultyChannel>(*chan, *faults_);
-      node->retry =
-          std::make_unique<rpc::RetryChannel>(*node->faulty, kernel_, opt_.retry);
-      chan = node->retry.get();
-      if (metrics_on) node->retry->register_metrics(registry_, tag + ".retry.");
-      if (tracer_) {
-        node->faulty->set_tracer(tracer_.get());
-        node->retry->set_tracer(tracer_.get());
-      }
-    }
-    node->client = std::make_unique<nfs::NfsClient>(*chan, cred, node_cfg_.client);
+    node->client = std::make_unique<nfs::NfsClient>(*upstream, cred, node_cfg_.client);
     if (metrics_on) node->client->register_metrics(registry_, tag + ".client.");
     if (tracer_) node->client->set_tracer(tracer_.get());
     return node;
   }
 
-  rpc::RpcChannel* upstream_chan = nullptr;
-  if (opt_.origin_cluster) {
-    // One full channel stack per origin (tunnel -> faults -> retry), all
-    // sharing the same WAN/LAN pipes, federated by the node's ShardRouter.
-    // The FaultyChannel carries the origin id so crash windows scoped to one
-    // replica (sim::FaultWindow::server) hit only its stack.
-    std::vector<rpc::RpcChannel*> chans;
-    chans.reserve(origins_.size());
-    for (std::size_t j = 0; j < origins_.size(); ++j) {
-      std::string otag = tag + ".origin" + std::to_string(j);
-      rpc::RpcHandler& origin_handler =
-          origins_[j]->compress
-              ? static_cast<rpc::RpcHandler&>(*origins_[j]->compress)
-              : static_cast<rpc::RpcHandler&>(*origins_[j]->proxy);
-      auto tun = std::make_unique<ssh::SshTunnel>(origin_handler,
-                                                  node_cfg_.tun_up,
-                                                  node_cfg_.tun_down,
-                                                  node_cfg_.tun_cipher);
-      rpc::RpcChannel* chan = tun.get();
-      if (metrics_on) tun->register_metrics(registry_, otag + ".tunnel.");
-      node->origin_tunnels.push_back(std::move(tun));
-      if (faults_) {
-        auto fy = std::make_unique<rpc::FaultyChannel>(
-            *chan, *faults_, static_cast<int>(j));
-        auto rt = std::make_unique<rpc::RetryChannel>(*fy, kernel_, opt_.retry);
-        chan = rt.get();
-        if (metrics_on) rt->register_metrics(registry_, otag + ".retry.");
-        if (tracer_) {
-          fy->set_tracer(tracer_.get());
-          rt->set_tracer(tracer_.get());
-        }
-        node->origin_faulty.push_back(std::move(fy));
-        node->origin_retry.push_back(std::move(rt));
-      }
-      if (opt_.wire_compression) {
-        auto cc = std::make_unique<rpc::CompressChannel>(
-            *chan, wan_compress_cfg(opt_.net, nullptr));
-        chan = cc.get();
-        if (metrics_on) cc->register_metrics(registry_, otag + ".compress.");
-        node->origin_compress.push_back(std::move(cc));
-      }
-      chans.push_back(chan);
-    }
-    proxy::ShardRouterConfig rcfg = opt_.shard_router;
-    rcfg.name = tag + "-router";
-    rcfg.replicas = opt_.origin_replicas;
-    node->router = std::make_unique<proxy::ShardRouter>(std::move(chans), rcfg);
-    if (metrics_on) node->router->register_metrics(registry_, tag + ".router.");
-    upstream_chan = node->router.get();
-  } else {
-    node->tunnel = std::make_unique<ssh::SshTunnel>(
-        *node_cfg_.upstream, node_cfg_.tun_up, node_cfg_.tun_down,
-        node_cfg_.tun_cipher);
-
-    // The proxy's upstream channel: with fault injection enabled the tunnel
-    // is wrapped in the injector (drops/partitions/crashes) and the proxy
-    // talks through the retransmission layer, NFS-client-style.
-    upstream_chan = node->tunnel.get();
-    if (metrics_on) node->tunnel->register_metrics(registry_, tag + ".tunnel.");
-    if (faults_) {
-      node->faulty = std::make_unique<rpc::FaultyChannel>(*node->tunnel, *faults_);
-      node->retry =
-          std::make_unique<rpc::RetryChannel>(*node->faulty, kernel_, opt_.retry);
-      upstream_chan = node->retry.get();
-      if (metrics_on) node->retry->register_metrics(registry_, tag + ".retry.");
-      if (tracer_) {
-        node->faulty->set_tracer(tracer_.get());
-        node->retry->set_tracer(tracer_.get());
-      }
-    }
-    // Client end of the compressed WAN hop (outermost, so retransmitted
-    // calls resend the already-wrapped message without re-paying gzip CPU).
-    // With a LAN tier the nodes' tunnels stay uncompressed — the pair
-    // straddles the L2 -> origin tunnel instead.
-    if (opt_.wire_compression && !node_cfg_.via_lan) {
-      node->compress = std::make_unique<rpc::CompressChannel>(
-          *upstream_chan, wan_compress_cfg(opt_.net, nullptr));
-      upstream_chan = node->compress.get();
-      if (metrics_on) node->compress->register_metrics(registry_, tag + ".compress.");
-    }
-  }
-
   proxy::ProxyConfig pcfg = node_cfg_.proxy;
   pcfg.name = tag + "-proxy";
   if (opt_.enable_leases) pcfg.lease_client_id = static_cast<u64>(index) + 1;
-  node->client_proxy = std::make_unique<proxy::GvfsProxy>(pcfg, *upstream_chan);
+  node->client_proxy = std::make_unique<proxy::GvfsProxy>(pcfg, *upstream);
 
   if (metrics_on) node->client_proxy->register_metrics(registry_, tag + ".proxy.");
   if (tracer_) node->client_proxy->set_tracer(tracer_.get());
 
   if (opt_.enable_leases) {
-    // Reverse callback stacks: recalls cross the same shared links in the
-    // server->client direction (tunnel handler = this node's proxy, link
-    // pair swapped) and pick up the same fault/retry semantics as the
-    // forward path. Recall retransmission is bounded — a partitioned holder
-    // must lapse at its lease expiry, not pin a server recall fiber forever.
-    rpc::RetryConfig cbretry = opt_.retry;
-    if (cbretry.max_retransmits == 0) cbretry.max_retransmits = 4;
-    const u64 client_id = static_cast<u64>(index) + 1;
-    const std::size_t stacks = opt_.origin_cluster ? origins_.size() : 1;
-    for (std::size_t j = 0; j < stacks; ++j) {
-      auto tun = std::make_unique<ssh::SshTunnel>(
-          *node->client_proxy, node_cfg_.tun_down, node_cfg_.tun_up,
-          node_cfg_.tun_cipher);
-      rpc::RpcChannel* chan = tun.get();
-      node->cb_tunnels.push_back(std::move(tun));
-      if (faults_) {
-        auto fy = std::make_unique<rpc::FaultyChannel>(*chan, *faults_,
-                                                       static_cast<int>(j));
-        auto rt = std::make_unique<rpc::RetryChannel>(*fy, kernel_, cbretry);
-        chan = rt.get();
-        node->cb_faulty.push_back(std::move(fy));
-        node->cb_retry.push_back(std::move(rt));
-      }
-      if (opt_.origin_cluster) {
-        origins_[j]->server->set_lease_callback(client_id, chan);
-      } else if (server_) {
-        server_->set_lease_callback(client_id, chan);
-      }
+    // Recalls cross the same shared links back to this node's proxy, one
+    // reverse stack per origin, with the forward path's fault semantics.
+    node->callbacks.reserve(origins_.size());
+    for (std::size_t j = 0; j < origins_.size(); ++j) {
+      node->callbacks.push_back(
+          make_stack_(*node->client_proxy, static_cast<int>(j), /*reverse=*/true, ""));
+      origins_[j]->server->set_lease_callback(pcfg.lease_client_id,
+                                              node->callbacks.back().top);
     }
   }
 
@@ -570,26 +458,20 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
 }
 
 vfs::MemFs& Testbed::image_fs() {
-  if (opt_.scenario == Scenario::kLocal) return *nodes_.at(0)->fs;
-  return opt_.origin_cluster ? *origins_.at(0)->fs : *image_fs_;
+  return origins_.empty() ? *nodes_.at(0)->fs : *origins_[0]->fs;
 }
 
 nfs::NfsServer* Testbed::server() {
-  return opt_.origin_cluster ? origins_.at(0)->server.get() : server_.get();
+  return origins_.empty() ? nullptr : origins_[0]->server.get();
 }
 
-u32 Testbed::origin_count() const {
-  if (opt_.origin_cluster) return static_cast<u32>(origins_.size());
-  return server_ ? 1 : 0;
-}
+u32 Testbed::origin_count() const { return static_cast<u32>(origins_.size()); }
 
 nfs::NfsServer* Testbed::origin_server(int j) {
-  if (!opt_.origin_cluster) return server_.get();
   return origins_.at(static_cast<std::size_t>(j))->server.get();
 }
 
 vfs::MemFs& Testbed::origin_fs(int j) {
-  if (!opt_.origin_cluster) return *image_fs_;
   return *origins_.at(static_cast<std::size_t>(j))->fs;
 }
 
@@ -599,32 +481,29 @@ proxy::ShardRouter* Testbed::shard_router(int node) {
 
 std::string Testbed::image_dir() const { return opt_.export_path; }
 
+std::vector<vfs::MemFs*> Testbed::image_stores_() {
+  if (origins_.empty()) return {&image_fs()};
+  std::vector<vfs::MemFs*> stores;
+  stores.reserve(origins_.size());
+  for (auto& o : origins_) stores.push_back(o->fs.get());
+  return stores;
+}
+
 u32 Testbed::meta_fp_block_size_() const {
   return opt_.dedup_blocks ? static_cast<u32>(opt_.block_cache.block_size) : 0;
 }
 
 Result<vm::VmImagePaths> Testbed::install_image(const vm::VmImageSpec& spec) {
-  if (opt_.origin_cluster && opt_.scenario != Scenario::kLocal) {
-    // Every origin gets the identical install, in identical order, so the
-    // FileId spaces stay aligned across replicas.
-    for (auto& o : origins_) {
-      GVFS_ASSIGN_OR_RETURN(vm::VmImagePaths sp,
-                            vm::install_image(*o->fs, image_dir(), spec));
-      if (opt_.generate_image_meta) {
-        GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
-            *o->fs, sp, 8_KiB, true, meta_fp_block_size_(),
-            opt_.block_cache.dedup_seed));
-      }
+  // Install at the server-side export path, on every origin in the same
+  // order so the FileId spaces stay aligned across replicas...
+  for (vfs::MemFs* fs : image_stores_()) {
+    GVFS_ASSIGN_OR_RETURN(vm::VmImagePaths server_paths,
+                          vm::install_image(*fs, image_dir(), spec));
+    if (opt_.scenario != Scenario::kLocal && opt_.generate_image_meta) {
+      GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
+          *fs, server_paths, 8_KiB, true, meta_fp_block_size_(),
+          opt_.block_cache.dedup_seed));
     }
-    return vm::VmImagePaths{"", spec.name};
-  }
-  // Install at the server-side export path...
-  GVFS_ASSIGN_OR_RETURN(vm::VmImagePaths server_paths,
-                        vm::install_image(image_fs(), image_dir(), spec));
-  if (opt_.scenario != Scenario::kLocal && opt_.generate_image_meta) {
-    GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
-        image_fs(), server_paths, 8_KiB, true, meta_fp_block_size_(),
-        opt_.block_cache.dedup_seed));
   }
   // ...but hand back mount-relative paths: every image_session() (NFS client
   // or the kLocal prefix view) is rooted at the export directory.
@@ -633,14 +512,10 @@ Result<vm::VmImagePaths> Testbed::install_image(const vm::VmImageSpec& spec) {
 
 Status Testbed::put_image_file(const std::string& rel_path,
                                const blob::BlobRef& data) {
-  if (opt_.origin_cluster && opt_.scenario != Scenario::kLocal) {
-    for (auto& o : origins_) {
-      GVFS_RETURN_IF_ERROR(
-          o->fs->put_file(opt_.export_path + rel_path, data).status());
-    }
-    return Status::ok();
+  for (vfs::MemFs* fs : image_stores_()) {
+    GVFS_RETURN_IF_ERROR(fs->put_file(opt_.export_path + rel_path, data).status());
   }
-  return image_fs().put_file(opt_.export_path + rel_path, data).status();
+  return Status::ok();
 }
 
 Status Testbed::mount(sim::Process& p, int node) {
@@ -684,8 +559,6 @@ void Testbed::drop_all_caches() {
     if (n->file_cache) n->file_cache->invalidate_all();
     n->local->drop_caches();
   }
-  if (server_) server_->drop_caches();
-  if (server_proxy_) server_proxy_->drop_soft_state();
   for (auto& o : origins_) {
     o->server->drop_caches();
     o->proxy->drop_soft_state();
@@ -708,21 +581,14 @@ Status Testbed::refresh_image_metadata(sim::Process& p, const vm::VmImagePaths& 
   vm::VmImagePaths server_paths{opt_.export_path, image.name};
   // The scan streams the state file off the server disk (zero-map pass).
   GVFS_ASSIGN_OR_RETURN(blob::BlobRef vmss, image_fs().get_file(server_paths.vmss()));
-  sim::DiskModel& disk =
-      opt_.origin_cluster ? *origins_.at(0)->disk : *image_disk_;
-  disk.access(p, vmss->size(), sim::Locality::kSequential);
-  if (opt_.origin_cluster) {
-    // Regenerate on every origin so the meta stays replica-identical.
-    for (auto& o : origins_) {
-      GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
-          *o->fs, server_paths, 8_KiB, true, meta_fp_block_size_(),
-          opt_.block_cache.dedup_seed));
-    }
-    return Status::ok();
+  origins_[0]->disk->access(p, vmss->size(), sim::Locality::kSequential);
+  // Regenerate on every origin so the meta stays replica-identical.
+  for (auto& o : origins_) {
+    GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
+        *o->fs, server_paths, 8_KiB, true, meta_fp_block_size_(),
+        opt_.block_cache.dedup_seed));
   }
-  return vm::generate_vmss_metadata(image_fs(), server_paths, 8_KiB, true,
-                                    meta_fp_block_size_(),
-                                    opt_.block_cache.dedup_seed);
+  return Status::ok();
 }
 
 nfs::NfsClient* Testbed::nfs_client(int node) {
@@ -742,7 +608,8 @@ cache::FileCache* Testbed::file_cache(int node) {
 }
 
 rpc::RetryChannel* Testbed::retry_channel(int node) {
-  return nodes_.at(static_cast<std::size_t>(node))->retry.get();
+  const Node& n = *nodes_.at(static_cast<std::size_t>(node));
+  return n.upstreams.empty() ? nullptr : n.upstreams[0].retry.get();
 }
 
 namespace {
@@ -768,13 +635,10 @@ std::string Testbed::metrics_json() const {
   u64 timeouts = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = *nodes_[i];
-    if (n.retry) {
-      retransmits += n.retry->retransmits();
-      timeouts += n.retry->timeouts();
-    }
-    for (const auto& rt : n.origin_retry) {
-      retransmits += rt->retransmits();
-      timeouts += rt->timeouts();
+    for (const ChannelStack& s : n.upstreams) {
+      if (!s.retry) continue;
+      retransmits += s.retry->retransmits();
+      timeouts += s.retry->timeouts();
     }
     if (!opt_.per_node_metrics) continue;
     std::string tag = "node" + std::to_string(i);

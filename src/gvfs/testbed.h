@@ -10,6 +10,13 @@
 //             paper's non-GVFS baseline).
 // Multiple compute nodes share the WAN pipe, the image server, and its
 // nfsd/CPU/disk — which is all Table 1's parallel cloning needs.
+//
+// Every non-local topology is built from one list of origin image servers:
+// the paper's single server, or origin_cluster's N replicated shards. Each
+// node reaches each origin through one channel stack (tunnel -> faults ->
+// retry -> compression), and talks to a ShardRouter over those stacks only
+// when there is more than one origin. shared_l2_cache puts the LAN
+// second-level proxy (WAN-S3) in front of a single origin.
 #pragma once
 
 #include <memory>
@@ -55,10 +62,10 @@ struct TestbedOptions {
   cache::WritePolicy write_policy = cache::WritePolicy::kWriteBack;
   bool enable_meta = true;          // client proxies honour meta-data files
   bool generate_image_meta = true;  // install_image() drops .vmss meta-data
-  bool second_level_lan_cache = false;  // WAN-S3: LAN server caches for the cluster
-  // Shared read-only L2 block cache for cloning clusters: same topology as
-  // second_level_lan_cache, but the L2 proxy coalesces concurrent same-block
-  // misses (single-flight) so N cloning nodes fetch each block once.
+  // WAN-S3: a LAN server's second-level proxy caches the single origin for
+  // every cached compute node (block cache + compressed-image cache). It
+  // shares read-only data: its block cache is write-through, so writes pass
+  // on to the origin. Ignored with more than one origin.
   bool shared_l2_cache = false;
   // Client proxies batch dirty-block write-back: pipelined UNSTABLE WRITE
   // bursts + one COMMIT per file via a background flusher, instead of one
@@ -88,19 +95,17 @@ struct TestbedOptions {
   std::string export_path = "/exports/images";
 
   // ---- sharded, replicated origin cluster (default off) --------------------
-  // Replace the single origin NfsServer with N origin instances behind a
-  // per-node ShardRouter (DESIGN.md §5.7): file-handle-hash sharding, R-way
-  // replication with read fan-out to the lowest-latency live replica,
-  // R-quorum UNSTABLE WRITE + COMMIT with a combined write verifier, and
-  // crash-failover + journal resync. Off by default — topology and bench
-  // stdout are byte-identical to the single-origin build. Not combinable
-  // with the LAN L2 cache topologies. Install files with install_image() /
-  // put_image_file(); writing one origin's fs directly would desync its
-  // replicas.
+  // Build origin_shards origins instead of one. With more than one, each
+  // node's proxy reaches them through a ShardRouter (DESIGN.md §5.7):
+  // file-handle-hash sharding, R-way replication with read fan-out to the
+  // lowest-latency live replica, R-quorum UNSTABLE WRITE + COMMIT with a
+  // combined write verifier, and crash-failover + journal resync. A
+  // one-shard cluster is the single origin. Install files with
+  // install_image() / put_image_file(); writing one origin's fs directly
+  // would desync its replicas.
   bool origin_cluster = false;
   u32 origin_shards = 2;    // N origin servers (also the shard count)
   u32 origin_replicas = 1;  // R-way replication, chained declustering
-  proxy::ShardRouterConfig shard_router;  // name/replicas overridden per node
   // Forwarded to every origin's NfsServerConfig::drc_survives (the DRC
   // crash-volatility test seam).
   bool drc_survives = false;
@@ -129,7 +134,6 @@ struct TestbedOptions {
   // collected in a bounded in-memory ring; dumped via trace_json(). Off by
   // default: zero per-call overhead and no behaviour change.
   bool enable_rpc_trace = false;
-  u32 trace_capacity = 256;
   // Register each node's instruments under "node<i>." ids. Default on (the
   // per-figure benches read them); boot-storm topologies with 1,000 nodes
   // turn it off — registration cost and registry size are
@@ -146,19 +150,18 @@ class Testbed {
   [[nodiscard]] sim::SimKernel& kernel() { return kernel_; }
   [[nodiscard]] const TestbedOptions& options() const { return opt_; }
 
-  // The image server's exported filesystem (install images here; for kLocal
-  // this is node 0's local filesystem).
+  // The image server's exported filesystem, origin 0's (install images here;
+  // for kLocal this is node 0's local filesystem).
   [[nodiscard]] vfs::MemFs& image_fs();
   [[nodiscard]] std::string image_dir() const;
 
-  // Install a VM image on the image store and (if meta is enabled) generate
-  // its .vmss meta-data. With origin_cluster on, the image is installed on
-  // every origin (identical install order keeps FileIds aligned).
+  // Install a VM image on every origin (identical install order keeps
+  // FileIds aligned) and, if meta is enabled, generate its .vmss meta-data.
   Result<vm::VmImagePaths> install_image(const vm::VmImageSpec& spec);
 
-  // Write a raw file into the image store at a mount-relative path — on
-  // every origin in cluster mode. Use this instead of image_fs().put_file()
-  // whenever the topology might be a cluster.
+  // Write a raw file into the image store at a mount-relative path, on
+  // every origin. Use this instead of image_fs().put_file() whenever the
+  // topology might have more than one origin.
   Status put_image_file(const std::string& rel_path, const blob::BlobRef& data);
 
   // Mount the export on a compute node (no-op for kLocal). Must run inside a
@@ -189,21 +192,22 @@ class Testbed {
   [[nodiscard]] proxy::GvfsProxy* client_proxy(int node = 0);
   [[nodiscard]] cache::ProxyDiskCache* block_cache(int node = 0);
   [[nodiscard]] cache::FileCache* file_cache(int node = 0);
-  // The (first) origin server; with origin_cluster on this is origin 0.
+  // Origin 0's server (null for kLocal).
   [[nodiscard]] nfs::NfsServer* server();
-  // ---- origin-cluster observability (origin_cluster topologies) ------------
+  // ---- origins (0 for kLocal, 1, or origin_shards) -------------------------
   [[nodiscard]] u32 origin_count() const;
   [[nodiscard]] nfs::NfsServer* origin_server(int j);
   [[nodiscard]] vfs::MemFs& origin_fs(int j);
-  // The node's ShardRouter (null unless origin_cluster).
+  // The node's ShardRouter (null unless there is more than one origin).
   [[nodiscard]] proxy::ShardRouter* shard_router(int node = 0);
-  // The cluster-shared L2 block-cache proxy (null unless the topology has
-  // one: second_level_lan_cache or shared_l2_cache).
+  // The cluster-shared L2 block-cache proxy (null unless shared_l2_cache
+  // built one).
   [[nodiscard]] proxy::GvfsProxy* lan_proxy() { return lan_proxy_.get(); }
   [[nodiscard]] sim::Link* wan_up() { return wan_up_.get(); }
   [[nodiscard]] sim::Link* wan_down() { return wan_down_.get(); }
   // Fault-injection plumbing (null when enable_fault_injection is false).
   [[nodiscard]] sim::FaultInjector* fault_injector() { return faults_.get(); }
+  // The retry layer of the node's first upstream stack.
   [[nodiscard]] rpc::RetryChannel* retry_channel(int node = 0);
 
   // ---- metrics & tracing ---------------------------------------------------
@@ -222,6 +226,8 @@ class Testbed {
 
  private:
   struct Node;
+  struct Origin;        // fs + disk + cpu + NfsServer + loopback + server proxy
+  struct ChannelStack;  // one upstream hop of a node, see make_stack_()
 
   // Wiring shared by every compute node, resolved once before the node loop:
   // node construction then only copies small config structs and allocates
@@ -229,7 +235,7 @@ class Testbed {
   // scenario topology N times.
   struct SharedNodeConfig {
     bool cached = false;
-    bool via_lan = false;
+    bool compress = false;  // node end of the compressed WAN hop
     nfs::NfsClientConfig client;
     cache::BlockCacheConfig block_cache;
     proxy::ProxyConfig proxy;  // per-node name filled in at build time
@@ -237,22 +243,33 @@ class Testbed {
     sim::Link* tun_up = nullptr;
     sim::Link* tun_down = nullptr;
     ssh::CipherSpec tun_cipher;
-    rpc::RpcHandler* upstream = nullptr;
+    // What each upstream stack targets: the L2 proxy, or every origin's
+    // entry handler (its NfsServer under PlainNfs).
+    std::vector<rpc::RpcHandler*> upstreams;
     meta::RemoteFileEndpoint* endpoint = nullptr;
     sim::Link* scp_link = nullptr;
   };
 
-  void build_server_side_();
-  void build_origin_cluster_();
+  void build_origins_();
   void build_lan_cache_node_();
   void resolve_shared_node_config_();
   std::unique_ptr<Node> build_node_(int index);
-  // The cluster factory: the single sanctioned NfsServer construction site
-  // in topology code (enforced by the gvfs-lint cluster-factory rule), so
-  // every topology — single origin or cluster — gets identical server
-  // config and restart wiring.
+  // One hop of a node toward `target`: the transport (an SSH tunnel, or
+  // PlainNfs's direct link), then with fault injection FaultyChannel(origin)
+  // and RetryChannel, then with wire compression the client-end
+  // CompressChannel. A `reverse` stack is a lease-recall callback path: the
+  // link pair swapped, bounded retransmission, no compression, not traced.
+  // A non-empty `tag` registers the layers' metrics under it.
+  ChannelStack make_stack_(rpc::RpcHandler& target, int origin, bool reverse,
+                           const std::string& tag);
+  // The single sanctioned NfsServer construction site in topology code
+  // (enforced by the gvfs-lint cluster-factory rule), so every origin gets
+  // identical server config.
   std::unique_ptr<nfs::NfsServer> make_origin_server_(vfs::MemFs& fs,
                                                       sim::DiskModel& disk);
+  // The filesystems that hold the image store: every origin's, or node 0's
+  // under kLocal.
+  [[nodiscard]] std::vector<vfs::MemFs*> image_stores_();
   // Fingerprint-table geometry for generated .vmss meta-data: the proxy
   // fetch block when dedup_blocks is on, else 0 (version-1 meta file,
   // byte-identical to the pre-dedup encoding).
@@ -266,21 +283,10 @@ class Testbed {
   metrics::Registry registry_;
   std::unique_ptr<trace::RpcTracer> tracer_;
 
-  // ---- image server --------------------------------------------------------
-  std::unique_ptr<vfs::MemFs> image_fs_;
-  std::unique_ptr<sim::DiskModel> image_disk_;
-  std::unique_ptr<sim::CpuPool> image_cpu_;
-  std::unique_ptr<nfs::NfsServer> server_;
-  std::unique_ptr<rpc::LinkChannel> server_loop_;      // server proxy -> nfsd
-  std::unique_ptr<proxy::GvfsProxy> server_proxy_;
-  std::unique_ptr<meta::ServerFileChannel> server_endpoint_;
-  // wire_compression: origin end of the compressed WAN hop (the client end
-  // is a per-node CompressChannel). Null when the toggle is off.
-  std::unique_ptr<rpc::CompressHandler> server_compress_;
-
-  // ---- origin cluster (origin_cluster topologies; replaces server_ &c.) ----
-  struct Origin;  // MemFs + disk + cpu + NfsServer + loopback + server proxy
+  // ---- origin image servers ------------------------------------------------
   std::vector<std::unique_ptr<Origin>> origins_;
+  // Meta-data file channel, served from origin 0.
+  std::unique_ptr<meta::ServerFileChannel> server_endpoint_;
 
   // ---- shared network ------------------------------------------------------
   std::unique_ptr<sim::Link> wan_up_, wan_down_;
@@ -289,16 +295,14 @@ class Testbed {
   // ---- fault injection (optional) ------------------------------------------
   std::unique_ptr<sim::FaultInjector> faults_;
 
-  // ---- optional LAN cache server (WAN-S3) -----------------------------------
+  // ---- optional LAN L2 cache server (WAN-S3) --------------------------------
   std::unique_ptr<sim::DiskModel> lan_disk_;
   std::unique_ptr<ssh::Scp> lan_scp_up_;  // LAN node -> origin over WAN
   std::unique_ptr<proxy::CachingFileEndpoint> lan_endpoint_;
   std::unique_ptr<cache::ProxyDiskCache> lan_block_cache_;
-  // wire_compression with a LAN tier: the WAN hop is the L2 -> origin
-  // tunnel, so the compression pair straddles it here instead of the nodes'
-  // LAN tunnels (handler before the tunnel that targets it; channel after).
-  std::unique_ptr<rpc::CompressHandler> lan_compress_handler_;
-  std::unique_ptr<ssh::SshTunnel> lan_to_origin_;      // L2 proxy -> server proxy
+  std::unique_ptr<ssh::SshTunnel> lan_to_origin_;      // L2 proxy -> origin
+  // wire_compression: the L2 -> origin tunnel is the WAN hop, so this end
+  // of the compression pair sits here (the origin's handler is the other).
   std::unique_ptr<rpc::CompressChannel> lan_compress_channel_;
   std::unique_ptr<proxy::GvfsProxy> lan_proxy_;        // L2 block-cache proxy
 

@@ -76,20 +76,17 @@ Result<meta::CompressedImage> CachingFileEndpoint::fetch_compressed(
     hits_.inc();
   }
   while (it == images_.end()) {
-    if (single_flight_ && pulls_.in_flight(fileid)) {
+    if (pulls_.in_flight(fileid)) {
       // Another downstream fetch is already pulling this image: join it.
       coalesced_.inc();
-      GVFS_RETURN_IF_ERROR(pulls_.join(p, fileid));
+      GVFS_RETURN_IF_ERROR(pulls_.join(p, fileid, "l2-file-pull"));
       // Normally cached now; re-loop handles the pulled image having been
       // evicted again before this waiter was rescheduled.
       it = images_.find(fileid);
       continue;
     }
     misses_.inc();
-    GVFS_RETURN_IF_ERROR(single_flight_
-                             ? pulls_.lead(p, fileid, "l2-file-pull",
-                                           [&] { return pull_(p, fileid); })
-                             : pull_(p, fileid));
+    GVFS_RETURN_IF_ERROR(pulls_.lead(fileid, [&] { return pull_(p, fileid); }));
     it = images_.find(fileid);
   }
   // Stream the cached compressed image off the LAN disk; no recompression.

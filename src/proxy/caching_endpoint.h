@@ -30,12 +30,6 @@ class CachingFileEndpoint final : public meta::RemoteFileEndpoint {
   Status store_compressed(sim::Process& p, vfs::FileId fileid, blob::BlobRef content,
                           u64 compressed_size) override;
 
-  // Single-flight pull coalescing: concurrent downstream fetches of one
-  // fileid join the first puller's WAN transfer instead of issuing duplicate
-  // pulls — a boot storm of N clones missing the same golden image costs one
-  // origin crossing, not N.
-  void set_single_flight(bool on) { single_flight_ = on; }
-
   // Content-addressed image dedup: after the origin compresses an image, its
   // fingerprint is compared against resident copies (the digest exchange is
   // a control-plane RPC already charged by fetch_compressed); an identical
@@ -101,9 +95,12 @@ class CachingFileEndpoint final : public meta::RemoteFileEndpoint {
   sim::DiskModel& disk_;
   u64 capacity_;
   std::unordered_map<vfs::FileId, meta::CompressedImage> images_;
-  bool single_flight_ = false;
   bool dedup_ = false;
   u64 dedup_seed_ = blob::kDefaultFingerprintSeed;
+  // Single-flight pull coalescing: concurrent downstream fetches of one
+  // fileid join the first puller's WAN transfer instead of issuing duplicate
+  // pulls — a boot storm of N clones missing the same golden image costs one
+  // origin crossing, not N.
   SingleFlight<vfs::FileId, Status> pulls_;
   std::unordered_map<u64, ImageDedupEntry> store_;  // fingerprint -> entry
   std::unordered_map<vfs::FileId, u64> fp_of_;      // deduped fileids only

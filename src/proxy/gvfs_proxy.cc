@@ -18,6 +18,16 @@ namespace {
 constexpr std::size_t kFlushBurst = 32;
 constexpr u32 kFlushMaxAttempts = 3;
 
+// Fixed per-call processing cost of the user-level proxy.
+constexpr SimDuration kPerCallCpu = 25 * kMicrosecond;
+
+// Conflict back-off between LEASE_ACQUIRE retries (the server answered
+// granted=false while it recalls the current holder). The retry horizon
+// (delay * retries) must outlast the server's lease_duration so a
+// partitioned holder lapses before the contender gives up.
+constexpr SimDuration kLeaseRetryDelay = 500 * kMillisecond;
+constexpr u32 kLeaseMaxRetries = 128;
+
 std::shared_ptr<nfs::WriteArgs> write_args(const Fh& fh, u64 offset,
                                            const blob::BlobRef& data,
                                            nfs::StableHow stable) {
@@ -285,15 +295,13 @@ Result<blob::BlobRef> GvfsProxy::get_block_(sim::Process& p, const Fh& fh, u64 b
     }
   }
 
-  if (!cfg_.single_flight) return fetch_block_upstream_(p, fh, block, cred);
-
   std::pair<u64, u64> key{fh.key(), block};
   if (inflight_.in_flight(key)) {
     // Another downstream reader is already fetching this block: join its
     // fetch instead of issuing a duplicate upstream READ.
     single_flight_waits_.inc();
     if (tracer_) tracer_->annotate(&p, cfg_.name, "single_flight_join", p.now());
-    Result<blob::BlobRef> fetched = inflight_.join(p, key);
+    Result<blob::BlobRef> fetched = inflight_.join(p, key, cfg_.name);
     if (!fetched.is_ok()) return fetched.status();
     if (auto hit = block_cache_->lookup(p, id)) {
       block_hits_.inc();
@@ -302,8 +310,7 @@ Result<blob::BlobRef> GvfsProxy::get_block_(sim::Process& p, const Fh& fh, u64 b
     return fetched;  // already evicted again: serve the fetched bytes
   }
   single_flight_leads_.inc();
-  return inflight_.lead(p, key, cfg_.name + "-single-flight",
-                        [&] { return fetch_block_upstream_(p, fh, block, cred); });
+  return inflight_.lead(key, [&] { return fetch_block_upstream_(p, fh, block, cred); });
 }
 
 Result<blob::BlobRef> GvfsProxy::fetch_block_upstream_(sim::Process& p, const Fh& fh,
@@ -916,7 +923,7 @@ Status GvfsProxy::ensure_lease_(sim::Process& p, const Fh& fh, nfs::LeaseMode mo
       (it->second.mode == nfs::LeaseMode::kWrite || it->second.mode == mode)) {
     return Status::ok();
   }
-  for (u32 attempt = 0; attempt <= cfg_.lease_max_retries; ++attempt) {
+  for (u32 attempt = 0; attempt <= kLeaseMaxRetries; ++attempt) {
     auto largs = std::make_shared<nfs::LeaseArgs>();
     largs->fh = fh;
     largs->client_id = cfg_.lease_client_id;
@@ -945,7 +952,7 @@ Status GvfsProxy::ensure_lease_(sim::Process& p, const Fh& fh, nfs::LeaseMode mo
     // Back off and retry; the retry horizon outlasts the server's lease
     // duration, so a partitioned holder lapses before we give up.
     lease_acquire_retries_.inc();
-    p.delay(cfg_.lease_retry_delay);
+    p.delay(kLeaseRetryDelay);
   }
   lease_acquire_failures_.inc();
   return err(ErrCode::kTimeout, "lease acquire: conflict never cleared");
@@ -987,7 +994,7 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
 
 rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
   calls_received_.inc();
-  if (cfg_.per_call_cpu > 0) p.delay(cfg_.per_call_cpu);
+  p.delay(kPerCallCpu);
   // Server-initiated lease recalls ride the callback program down the same
   // tunnel; they carry the server's identity, not a client credential, so
   // they bypass the authorizer / cred-mapping that guards client traffic.

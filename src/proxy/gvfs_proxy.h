@@ -37,7 +37,6 @@ struct ProxyConfig {
   // Upstream READ granularity: the proxy fetches whole cache blocks
   // (<= the 32 KB NFS limit) regardless of the downstream rsize.
   u32 fetch_block = 32_KiB;
-  SimDuration per_call_cpu = 25 * kMicrosecond;
   SimDuration attr_ttl = 5 * kSecond;
   // In write-back mode the proxy acknowledges COMMIT locally; consistency
   // comes from middleware signals (§3.2.1).
@@ -67,12 +66,6 @@ struct ProxyConfig {
   // path stays byte-identical to the synchronous proxy.
   bool async_writeback = false;
 
-  // Single-flight miss coalescing: concurrent downstream readers of the
-  // same uncached block share one upstream fetch instead of issuing
-  // duplicate READs. Only matters when several downstream clients mount
-  // through one shared cache proxy; off by default.
-  bool single_flight = false;
-
   // Content-addressed block dedup: when a meta-data file carries a
   // per-block fingerprint table at this proxy's fetch granularity, a cache
   // miss first probes the block cache's dedup store — identical bytes
@@ -81,11 +74,6 @@ struct ProxyConfig {
   // upstream. Requires the attached cache's dedup_blocks too. Off by
   // default — the miss path stays byte-identical to the pre-dedup proxy.
   bool dedup_blocks = false;
-  // Modeled wire compression on the upstream channel stack (the Testbed
-  // wraps the tunnel in a rpc::CompressChannel/CompressHandler pair when
-  // set): bulk READ/WRITE payloads cross the WAN at Blob::compressed_size
-  // with GzipModel CPU charged at both ends. Off by default.
-  bool wire_compression = false;
 
   // Delegation-style leases (DESIGN.md §5.10): acquire a write lease from
   // the origin before a WRITE is absorbed or forwarded, a read lease before
@@ -96,12 +84,6 @@ struct ProxyConfig {
   bool enable_leases = false;
   // Identity presented on LEASE_ACQUIRE and matched by server recalls.
   u64 lease_client_id = 0;
-  // Conflict back-off between LEASE_ACQUIRE retries (the server answered
-  // granted=false while it recalls the current holder). The retry horizon
-  // (delay * max_retries) must outlast the server's lease_duration so a
-  // partitioned holder lapses before the contender gives up.
-  SimDuration lease_retry_delay = 500 * kMillisecond;
-  u32 lease_max_retries = 128;
 
   // Bound on attr_cache_ entries; the least-recently-touched entry is
   // evicted past it. 0 = unbounded (pre-fix behavior, tests only).

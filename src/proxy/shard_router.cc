@@ -13,6 +13,11 @@ namespace {
 // it only has to be stable across WRITE and COMMIT synthesis.
 constexpr u64 kCombinedVerfSeed = 0x636c757374657276ULL;
 
+// EWMA smoothing for per-origin read latency (higher = more reactive).
+constexpr double kLatencyAlpha = 0.25;
+// Minimum spacing between reintegration probes of one dead origin.
+constexpr SimDuration kProbeInterval = 2 * kSecond;
+
 bool timed_out(const rpc::RpcReply& r) {
   return r.status.code() == ErrCode::kTimeout;
 }
@@ -171,7 +176,7 @@ void ShardRouter::note_read_latency_(u32 j, double sample_ms) {
     o.ewma_valid = true;
     return;
   }
-  o.ewma_ms = cfg_.latency_alpha * sample_ms + (1.0 - cfg_.latency_alpha) * o.ewma_ms;
+  o.ewma_ms = kLatencyAlpha * sample_ms + (1.0 - kLatencyAlpha) * o.ewma_ms;
 }
 
 void ShardRouter::mark_dead_(sim::Process& p, u32 j) {
@@ -181,7 +186,7 @@ void ShardRouter::mark_dead_(sim::Process& p, u32 j) {
   ++o.dead_epoch;
   live_set_epoch_.bump();
   o.died_at = p.now();
-  o.next_probe = p.now() + cfg_.probe_interval;
+  o.next_probe = p.now() + kProbeInterval;
   failovers_.inc();
 }
 
@@ -222,7 +227,7 @@ bool ShardRouter::try_reintegrate_(sim::Process& p, u32 j) {
   if (o.live) return true;
   if (o.reintegrating) return false;
   o.reintegrating = true;
-  o.next_probe = p.now() + cfg_.probe_interval;
+  o.next_probe = p.now() + kProbeInterval;
   probes_.inc();
 
   rpc::RpcCall ping;
@@ -233,7 +238,7 @@ bool ShardRouter::try_reintegrate_(sim::Process& p, u32 j) {
   rpc::RpcReply pong = chans_[j]->call(p, ping);
   if (timed_out(pong)) {
     probe_failures_.inc();
-    o.next_probe = p.now() + cfg_.probe_interval;
+    o.next_probe = p.now() + kProbeInterval;
     o.reintegrating = false;
     return false;
   }
@@ -281,7 +286,7 @@ bool ShardRouter::try_reintegrate_(sim::Process& p, u32 j) {
       o.journal.push_front(std::move(e));
       journal_epoch_.bump();
       probe_failures_.inc();
-      o.next_probe = p.now() + cfg_.probe_interval;
+      o.next_probe = p.now() + kProbeInterval;
       o.reintegrating = false;
       return false;
     }

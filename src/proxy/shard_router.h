@@ -56,10 +56,6 @@ struct ShardRouterConfig {
   std::string name = "shard-router";
   // R-way replication degree (clamped to the origin count).
   u32 replicas = 1;
-  // EWMA smoothing for per-origin read latency (higher = more reactive).
-  double latency_alpha = 0.25;
-  // Minimum spacing between reintegration probes of one dead origin.
-  SimDuration probe_interval = 2 * kSecond;
 };
 
 class ShardRouter final : public rpc::RpcChannel {

@@ -20,25 +20,31 @@ class SingleFlight {
  public:
   [[nodiscard]] bool in_flight(const Key& key) const { return flights_.count(key) != 0; }
 
-  // Waits for the flight in progress for `key` and returns its outcome.
-  Outcome join(sim::Process& p, const Key& key) {
+  // Waits for the flight in progress for `key` and returns its outcome. The
+  // first joiner opens the flight's wake-up Signal, named `signal_name`, so
+  // an uncontended lead costs one table entry and nothing else.
+  Outcome join(sim::Process& p, const Key& key, const std::string& signal_name) {
+    std::shared_ptr<Flight>& slot = flights_.at(key);
+    if (!slot) slot = std::make_shared<Flight>(p.kernel(), signal_name);
     // Hold the flight itself: the lead erases the table slot before waking us.
-    std::shared_ptr<Flight> f = flights_.at(key);
+    std::shared_ptr<Flight> f = slot;
     while (!f->outcome) p.wait(f->done);
     return *f->outcome;
   }
 
-  // Runs `op` as the lead for `key` and hands its outcome to every joiner,
-  // who wait on a Signal named `signal_name`.
+  // Runs `op` as the lead for `key` and hands its outcome to every joiner.
   template <typename Op>
-  Outcome lead(sim::Process& p, const Key& key, std::string signal_name, Op&& op) {
-    auto f = std::make_shared<Flight>(p.kernel(), std::move(signal_name));
-    flights_.emplace(key, f);
+  Outcome lead(const Key& key, Op&& op) {
+    flights_.emplace(key, nullptr);
     // gvfs-yield: yields via op (an upstream fetch or pull)
     Outcome out = op();
-    f->outcome = out;
-    flights_.erase(key);
-    f->done.notify_all();
+    auto it = flights_.find(key);
+    std::shared_ptr<Flight> f = std::move(it->second);
+    flights_.erase(it);
+    if (f) {
+      f->outcome = out;
+      f->done.notify_all();
+    }
     return out;
   }
 
@@ -49,6 +55,7 @@ class SingleFlight {
     std::optional<Outcome> outcome;
   };
 
+  // A null flight is a lead nobody has joined yet.
   std::map<Key, std::shared_ptr<Flight>> flights_;
 };
 

@@ -23,10 +23,10 @@ namespace gvfs::rpc {
 
 class FaultyChannel final : public RpcChannel {
  public:
-  // `server_id` names the origin this channel leads to; crash windows scoped
-  // to another server (sim::FaultWindow::server) leave this path untouched.
-  // Single-origin topologies keep the default id 0.
-  FaultyChannel(RpcChannel& inner, sim::FaultInjector& faults, int server_id = 0)
+  // `server_id` names the origin this channel leads to (0 for the single
+  // origin); crash windows scoped to another server
+  // (sim::FaultWindow::server) leave this path untouched.
+  FaultyChannel(RpcChannel& inner, sim::FaultInjector& faults, int server_id)
       : inner_(inner), faults_(faults), server_id_(server_id) {}
 
   RpcReply call(sim::Process& p, const RpcCall& call) override;

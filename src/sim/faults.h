@@ -71,12 +71,8 @@ class FaultInjector {
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
 
-  // Fired on the first traffic after a crash window closes (server reboot).
-  // The single-argument overload is the legacy single-origin hook: it binds
-  // to server id 0, which every unscoped (kAllServers) window applies to.
-  void set_on_restart(std::function<void()> fn) {
-    set_on_restart(0, std::move(fn));
-  }
+  // Fired on the first traffic after a crash window closes (server reboot)
+  // that applies to `server_id`.
   void set_on_restart(int server_id, std::function<void()> fn) {
     on_restart_[server_id] = std::move(fn);
   }
@@ -84,7 +80,7 @@ class FaultInjector {
   // ---- decision points (called by FaultyChannel / Link) --------------------
   // Should the request at virtual time `t` be lost before reaching server
   // `server_id`? True during crashes and partitions, or on a loss coin flip.
-  bool drop_request(SimTime t, int server_id = 0);
+  bool drop_request(SimTime t, int server_id);
   // Should the reply arriving at `t` be lost on the way back? (The server
   // did execute the request — this is what the duplicate-request cache is
   // for.)
@@ -96,10 +92,10 @@ class FaultInjector {
   // (or to all servers) that ended at or before `t`. FaultyChannel calls
   // this before letting traffic through. Each (window, server) pair fires at
   // most once; windows fire in schedule order.
-  void fire_restarts_due(SimTime t, int server_id = 0);
+  void fire_restarts_due(SimTime t, int server_id);
 
   [[nodiscard]] bool partitioned(SimTime t) const;
-  [[nodiscard]] bool server_down(SimTime t, int server_id = 0) const;
+  [[nodiscard]] bool server_down(SimTime t, int server_id) const;
 
   // ---- counters ------------------------------------------------------------
   [[nodiscard]] u64 requests_dropped() const { return requests_dropped_.value(); }

@@ -3,6 +3,8 @@
 // (DESIGN.md §5.7), all through the full Testbed topology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "blob/blob.h"
 #include "common/rng.h"
 #include "gvfs/testbed.h"
@@ -44,6 +46,55 @@ TEST(ClusterTopology, DefaultOffKeepsSingleOrigin) {
   EXPECT_EQ(bed.origin_count(), 1u);
   EXPECT_EQ(bed.shard_router(), nullptr);
   EXPECT_NE(bed.server(), nullptr);
+  EXPECT_EQ(bed.server(), bed.origin_server(0));
+  EXPECT_EQ(&bed.image_fs(), &bed.origin_fs(0));
+}
+
+// A one-shard cluster is the single origin: no router, no failover state,
+// the same origin accessors, and the same simulated run.
+TEST(ClusterTopology, OneShardClusterIsTheSingleOrigin) {
+  struct Run {
+    SimTime end = 0;
+    std::vector<u8> origin_bytes;
+  };
+  const std::vector<u8> installed = fill_bytes(7, 96_KiB);
+  const std::vector<u8> patch = fill_bytes(8, 40_KiB);
+  auto run = [&](bool one_shard_cluster) {
+    TestbedOptions opt;
+    opt.scenario = Scenario::kWanCached;
+    opt.generate_image_meta = false;
+    if (one_shard_cluster) {
+      opt.origin_cluster = true;
+      opt.origin_shards = 1;
+    }
+    Testbed bed(opt);
+    EXPECT_EQ(bed.shard_router(), nullptr);
+    EXPECT_EQ(bed.origin_count(), 1u);
+    EXPECT_EQ(bed.server(), bed.origin_server(0));
+    EXPECT_EQ(&bed.image_fs(), &bed.origin_fs(0));
+    EXPECT_TRUE(bed.put_image_file("/f", blob::make_bytes(installed)).is_ok());
+
+    Run out;
+    bed.kernel().run_process("t", [&](sim::Process& p) {
+      ASSERT_TRUE(bed.mount(p).is_ok());
+      ASSERT_TRUE(bed.image_session().write(p, "/f", 8_KiB, blob::make_bytes(patch)).is_ok());
+      ASSERT_TRUE(bed.image_session().read_all(p, "/f").is_ok());
+      ASSERT_TRUE(bed.signal_write_back(p).is_ok());
+      out.end = p.now();
+    });
+    EXPECT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+    out.origin_bytes = file_bytes(bed.origin_fs(0), bed.image_dir() + "/f");
+    return out;
+  };
+
+  Run single = run(false);
+  Run cluster = run(true);
+  EXPECT_GT(single.end, 0);
+  EXPECT_EQ(cluster.end, single.end);
+  std::vector<u8> want = installed;
+  std::copy(patch.begin(), patch.end(), want.begin() + 8_KiB);
+  EXPECT_EQ(single.origin_bytes, want);
+  EXPECT_EQ(cluster.origin_bytes, want);
 }
 
 TEST(ClusterTopology, ExposesOriginsAndClampsReplicas) {

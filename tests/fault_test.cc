@@ -110,7 +110,7 @@ TEST(FaultInjector, SameSeedSameSchedule) {
     cfg.drop_rate = 0.3;
     sim::FaultInjector inj(k, cfg);
     std::vector<bool> drops;
-    for (int i = 0; i < 256; ++i) drops.push_back(inj.drop_request(i * kMillisecond));
+    for (int i = 0; i < 256; ++i) drops.push_back(inj.drop_request(i * kMillisecond, 0));
     return drops;
   };
   auto a = draw_schedule(0xabc);
@@ -128,14 +128,14 @@ TEST(FaultInjector, PartitionAndCrashWindowsAreTotal) {
   cfg.crashes.push_back(sim::FaultWindow{300, 400});
   sim::FaultInjector inj(k, cfg);
 
-  EXPECT_FALSE(inj.drop_request(50));
+  EXPECT_FALSE(inj.drop_request(50, 0));
   EXPECT_TRUE(inj.partitioned(150));
-  EXPECT_TRUE(inj.drop_request(150));
+  EXPECT_TRUE(inj.drop_request(150, 0));
   EXPECT_TRUE(inj.drop_reply(150));
   EXPECT_FALSE(inj.partitioned(200));  // half-open window
-  EXPECT_TRUE(inj.server_down(350));
-  EXPECT_TRUE(inj.drop_request(350));
-  EXPECT_FALSE(inj.drop_request(400));
+  EXPECT_TRUE(inj.server_down(350, 0));
+  EXPECT_TRUE(inj.drop_request(350, 0));
+  EXPECT_FALSE(inj.drop_request(400, 0));
   EXPECT_EQ(inj.requests_dropped(), 2u);
   EXPECT_EQ(inj.replies_dropped(), 1u);
 }
@@ -147,14 +147,14 @@ TEST(FaultInjector, RestartFiresOncePerCrashWindow) {
   cfg.crashes.push_back(sim::FaultWindow{50, 60});
   sim::FaultInjector inj(k, cfg);
   int reboots = 0;
-  inj.set_on_restart([&] { ++reboots; });
-  inj.fire_restarts_due(15);  // window still open
+  inj.set_on_restart(0, [&] { ++reboots; });
+  inj.fire_restarts_due(15, 0);  // window still open
   EXPECT_EQ(reboots, 0);
-  inj.fire_restarts_due(25);
+  inj.fire_restarts_due(25, 0);
   EXPECT_EQ(reboots, 1);
-  inj.fire_restarts_due(30);  // no new window closed
+  inj.fire_restarts_due(30, 0);  // no new window closed
   EXPECT_EQ(reboots, 1);
-  inj.fire_restarts_due(100);
+  inj.fire_restarts_due(100, 0);
   EXPECT_EQ(reboots, 2);
   EXPECT_EQ(inj.restarts_fired(), 2u);
 }
@@ -189,14 +189,14 @@ TEST(FaultInjector, PerServerWindowsAndRestartCallbacks) {
   EXPECT_EQ(inj.restarts_fired(), 3u);
 }
 
-TEST(FaultInjector, LegacySingleArgRestartTargetsServerZero) {
+TEST(FaultInjector, UnscopedWindowRestartsOnlyHookedServers) {
   sim::SimKernel k;
   sim::FaultConfig cfg;
   cfg.crashes.push_back(sim::FaultWindow{10, 20});  // applies to all servers
   sim::FaultInjector inj(k, cfg);
   int reboots = 0;
-  inj.set_on_restart([&] { ++reboots; });  // legacy overload: server 0
-  inj.fire_restarts_due(25);               // default server id 0
+  inj.set_on_restart(0, [&] { ++reboots; });  // the single origin's hook
+  inj.fire_restarts_due(25, 0);
   EXPECT_EQ(reboots, 1);
   inj.fire_restarts_due(25, 1);  // no callback registered for server 1
   EXPECT_EQ(reboots, 1);
@@ -213,7 +213,7 @@ TEST(FaultyChannel, DropAccountingMatchesServerExecution) {
   cfg.drop_rate = 0.4;
   sim::FaultInjector inj(k, cfg);
   EchoChannel echo;
-  rpc::FaultyChannel chan(echo, inj);
+  rpc::FaultyChannel chan(echo, inj, 0);
   u64 timeouts = 0;
   const int kCalls = 200;
   k.run_process("t", [&](sim::Process& p) {
@@ -326,7 +326,7 @@ TEST(RetryChannel, HardMountRidesOutPartition) {
   fcfg.partitions.push_back(sim::FaultWindow{0, 2 * kSecond});
   sim::FaultInjector inj(k, fcfg);
   EchoChannel echo;
-  rpc::FaultyChannel faulty(echo, inj);
+  rpc::FaultyChannel faulty(echo, inj, 0);
   rpc::RetryConfig rcfg;
   rcfg.timeout = 100 * kMillisecond;
   rcfg.jitter = 0.0;  // max_retransmits = 0: hard mount, retry forever
@@ -347,9 +347,9 @@ TEST(RetryChannel, ServerRebootFiresRestartCallback) {
   fcfg.crashes.push_back(sim::FaultWindow{0, kSecond});
   sim::FaultInjector inj(k, fcfg);
   bool rebooted = false;
-  inj.set_on_restart([&] { rebooted = true; });
+  inj.set_on_restart(0, [&] { rebooted = true; });
   EchoChannel echo;
-  rpc::FaultyChannel faulty(echo, inj);
+  rpc::FaultyChannel faulty(echo, inj, 0);
   rpc::RetryConfig rcfg;
   rcfg.timeout = 100 * kMillisecond;
   rcfg.jitter = 0.0;

@@ -174,7 +174,7 @@ TEST(Testbed, SecondCloneFromWarmCachesMuchFaster) {
 TEST(Testbed, LanSecondLevelCacheSpeedsFirstClone) {
   // WAN-S3 in miniature: image pre-cached on the LAN server.
   auto opt = options_for(Scenario::kWanCached);
-  opt.second_level_lan_cache = true;
+  opt.shared_l2_cache = true;
   Testbed bed(opt);
   auto paths = bed.install_image(small_image());
   ASSERT_TRUE(paths.is_ok());
@@ -208,6 +208,41 @@ TEST(Testbed, LanSecondLevelCacheSpeedsFirstClone) {
   EXPECT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
   EXPECT_EQ(direct.kernel().failed_processes(), 0) << direct.kernel().failed_names_joined();
   EXPECT_LT(with_lan_s, without_lan_s);
+}
+
+TEST(Testbed, WriteThroughL2ReachesOrigin) {
+  // The LAN L2 shares read-only data (§3.2.1), so a node's write-back must
+  // pass through it to the origin. Were the L2 write-back, it would
+  // acknowledge the bytes and keep them where no middleware signal reaches,
+  // and the next cold-cache drop would lose the only copy.
+  auto opt = options_for(Scenario::kWanCached);
+  opt.shared_l2_cache = true;
+  Testbed bed(opt);
+  ASSERT_NE(bed.lan_proxy(), nullptr);
+  blob::BlobRef data = blob::make_synthetic(77, 300_KiB, 0.0, 1.0);
+  const u64 want = blob::content_hash(*data);
+
+  bed.kernel().run_process("t", [&](sim::Process& p) {
+    ASSERT_TRUE(bed.mount(p).is_ok());
+    ASSERT_TRUE(bed.image_session().put(p, "/results.bin", data).is_ok());
+    ASSERT_TRUE(bed.image_session().flush(p).is_ok());
+    ASSERT_TRUE(bed.signal_write_back(p).is_ok());
+  });
+  ASSERT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+  EXPECT_EQ(bed.block_cache()->dirty_blocks(), 0u);
+  auto origin = bed.image_fs().get_file(bed.image_dir() + "/results.bin");
+  ASSERT_TRUE(origin.is_ok());
+  EXPECT_EQ((*origin)->size(), 300_KiB);
+  EXPECT_EQ(blob::content_hash(**origin), want);
+
+  // Cold caches on every level: the origin's copy is what a new session reads.
+  bed.drop_all_caches();
+  bed.kernel().run_process("reread", [&](sim::Process& p) {
+    auto back = bed.image_session().read_all(p, "/results.bin");
+    ASSERT_TRUE(back.is_ok());
+    EXPECT_EQ(blob::content_hash(**back), want);
+  });
+  EXPECT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
 }
 
 TEST(Testbed, ParallelClonesScale) {

@@ -5,6 +5,7 @@
 // figures the benches embed in BENCH_*.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -240,6 +241,55 @@ TEST(ObservabilityE2E, MetricsJsonCarriesRegistryAndDerivedEntries) {
   EXPECT_NE(j.find("\"derived.total_timeouts\""), std::string::npos) << j;
   // Two identical snapshots of a quiescent testbed are byte-identical.
   EXPECT_EQ(j, bed.metrics_json());
+}
+
+// The benchmark harness (perfbench/) sums registry ids by prefix and suffix,
+// so a renamed id would silently zero one of its figures (the origin disk
+// ops, the nfsd service time, the compression ratio). Pin the ids it reads
+// on each origin topology.
+std::vector<std::string> registry_ids(const core::TestbedOptions& opt) {
+  core::Testbed bed(opt);
+  std::vector<std::string> ids;
+  for (const auto& [id, value] : bed.metrics().snapshot()) ids.push_back(id);
+  return ids;
+}
+
+bool has_id(const std::vector<std::string>& ids, const std::string& id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+std::size_t count_ids(const std::vector<std::string>& ids, const std::string& prefix,
+                      const std::string& suffix) {
+  return static_cast<std::size_t>(std::count_if(ids.begin(), ids.end(), [&](const auto& id) {
+    return id.starts_with(prefix) && id.ends_with(suffix);
+  }));
+}
+
+TEST(ObservabilityE2E, RegistryIdsTheBenchmarkReads) {
+  core::TestbedOptions single;
+  single.scenario = core::Scenario::kWanCached;
+  single.wire_compression = true;
+  std::vector<std::string> ids = registry_ids(single);
+  EXPECT_TRUE(has_id(ids, "server.disk.ops"));
+  EXPECT_TRUE(has_id(ids, "server.service_ms"));
+  // Both ends of the compressed WAN hop.
+  EXPECT_TRUE(has_id(ids, "server_compress.compress_bytes_in"));
+  EXPECT_TRUE(has_id(ids, "node0.compress.compress_bytes_in"));
+
+  core::TestbedOptions cluster;
+  cluster.scenario = core::Scenario::kWanCached;
+  cluster.origin_cluster = true;
+  cluster.origin_shards = 3;
+  ids = registry_ids(cluster);
+  EXPECT_EQ(count_ids(ids, "origin", ".disk.ops"), 3u);
+  EXPECT_EQ(count_ids(ids, "", "server.service_ms"), 3u);
+
+  core::TestbedOptions l2;
+  l2.scenario = core::Scenario::kWanCached;
+  l2.shared_l2_cache = true;
+  ids = registry_ids(l2);
+  EXPECT_TRUE(has_id(ids, "lan_l2.disk.ops"));
+  EXPECT_TRUE(has_id(ids, "server.disk.ops"));
 }
 
 }  // namespace

@@ -549,12 +549,11 @@ TEST(AsyncWriteback, HonestCommitFlushesStagedBlocksWhenAbsorptionOff) {
 
 TEST(SingleFlight, ConcurrentSameBlockMissesShareOneUpstreamFetch) {
   ProxyFixture f;
-  // Shared cache proxy with single-flight on; two downstream clients mount
-  // through it and read the same file concurrently.
+  // Shared cache proxy (every proxy coalesces misses); two downstream
+  // clients mount through it and read the same file concurrently.
   cache::ProxyDiskCache cache(f.client_disk, ProxyFixture::small_cache_cfg());
   ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
   pcfg.enable_meta = false;
-  pcfg.single_flight = true;
   GvfsProxy proxy(pcfg, f.tunnel);
   proxy.attach_block_cache(cache);
   rpc::LinkChannel loop_a(proxy, nullptr, nullptr, 15 * kMicrosecond);

@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   opt.block_cache.block_size = o.cache_block;
   opt.prefetch_depth = o.prefetch;
   opt.file_channel_streams = o.streams;
-  opt.second_level_lan_cache = o.lan_l2;
+  opt.shared_l2_cache = o.lan_l2;
   opt.enable_meta = o.meta;
   core::Testbed bed(opt);
   std::printf("scenario %s, workload %s\n", core::scenario_name(*scenario),
