@@ -1,6 +1,7 @@
 #include "nfs/nfs_server.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/log.h"
@@ -12,12 +13,10 @@ namespace {
 // Map a Result/Status error into an NFS status word for a result body.
 NfsStat to_nfsstat(const Status& st) { return st.code(); }
 
-template <typename Res>
-rpc::MessagePtr error_res(NfsStat s) {
-  auto res = std::make_shared<Res>();
-  res->status = s;
-  return res;
-}
+// The argument type of a procedure handler (unevaluated; see serve_).
+template <class Args>
+Args args_type(rpc::MessagePtr (NfsServer::*)(sim::Process&, const Args&,
+                                              const rpc::Credential&));
 
 }  // namespace
 
@@ -49,13 +48,8 @@ Fh NfsServer::root_fh(const std::string& export_path) {
   return it == exports_.end() ? Fh{} : Fh{cfg_.fsid, it->second};
 }
 
-u64 NfsServer::calls(Proc proc) const {
-  auto it = proc_calls_.find(static_cast<u32>(proc));
-  return it == proc_calls_.end() ? 0 : it->second;
-}
-
 void NfsServer::reset_stats() {
-  proc_calls_.clear();
+  proc_calls_.fill(0);
   total_calls_.reset();
   service_ms_.reset();
   page_cache_.reset_stats();
@@ -104,23 +98,6 @@ void NfsServer::charge_read_(sim::Process& p, vfs::FileId id, u64 file_size,
 
 // ------------------------------------------------- duplicate request cache --
 
-bool NfsServer::is_nonidempotent_(Proc proc) {
-  switch (proc) {
-    case Proc::kSetattr:
-    case Proc::kWrite:
-    case Proc::kCreate:
-    case Proc::kMkdir:
-    case Proc::kSymlink:
-    case Proc::kRemove:
-    case Proc::kRmdir:
-    case Proc::kRename:
-    case Proc::kLink:
-      return true;
-    default:
-      return false;
-  }
-}
-
 u64 NfsServer::drc_key_(const rpc::RpcCall& call) const {
   // Real DRCs key on (xid, client address, prog, proc); our client identity
   // is the credential's (machine, uid). Distinct transactions always carry
@@ -157,7 +134,9 @@ rpc::RpcReply NfsServer::handle(sim::Process& p, const rpc::RpcCall& call) {
   sim::ScopedPermit permit(p, nfsd_);
   SimTime t0 = p.now();
   total_calls_.inc();
-  ++proc_calls_[call.proc];
+  if (call.prog == rpc::kNfsProgram && call.proc < proc_calls_.size()) {
+    ++proc_calls_[call.proc];
+  }
   if (cfg_.per_op_cpu > 0) p.delay(cfg_.per_op_cpu);
 
   rpc::RpcReply reply;
@@ -184,8 +163,7 @@ rpc::RpcReply NfsServer::handle_nfs_(sim::Process& p, const rpc::RpcCall& call) 
   // already in the filesystem) — replay the cached reply. Error replies are
   // cached and replayed as well (RFC 1813 §4): re-executing e.g. a REMOVE
   // whose first reply was lost would otherwise return a spurious NOENT.
-  bool cacheable = cfg_.drc_entries > 0 &&
-                   is_nonidempotent_(static_cast<Proc>(call.proc));
+  bool cacheable = cfg_.drc_entries > 0 && !proc_info(call.proc).idempotent;
   u64 key = 0;
   bool collided = false;
   if (cacheable) {
@@ -252,126 +230,63 @@ rpc::RpcReply NfsServer::dispatch_mount_(sim::Process&, const rpc::RpcCall& call
   return rpc::make_error_reply(call, err(ErrCode::kRpcMismatch, "bad mount proc"));
 }
 
-rpc::RpcReply NfsServer::dispatch_nfs_(sim::Process& p, const rpc::RpcCall& call) {
-  rpc::MessagePtr res;
-  switch (static_cast<Proc>(call.proc)) {
-    case Proc::kNull:
-      res = std::make_shared<VoidMsg>();
-      break;
-    case Proc::kGetattr: {
-      auto a = rpc::message_cast<GetattrArgs>(call.args);
-      res = a ? do_getattr_(*a) : nullptr;
-      break;
-    }
-    case Proc::kSetattr: {
-      auto a = rpc::message_cast<SetattrArgs>(call.args);
-      res = a ? do_setattr_(p, *a) : nullptr;
-      break;
-    }
-    case Proc::kLookup: {
-      auto a = rpc::message_cast<LookupArgs>(call.args);
-      res = a ? do_lookup_(*a) : nullptr;
-      break;
-    }
-    case Proc::kAccess: {
-      auto a = rpc::message_cast<AccessArgs>(call.args);
-      res = a ? do_access_(*a) : nullptr;
-      break;
-    }
-    case Proc::kReadlink: {
-      auto a = rpc::message_cast<ReadlinkArgs>(call.args);
-      res = a ? do_readlink_(*a) : nullptr;
-      break;
-    }
-    case Proc::kRead: {
-      auto a = rpc::message_cast<ReadArgs>(call.args);
-      res = a ? do_read_(p, *a) : nullptr;
-      break;
-    }
-    case Proc::kWrite: {
-      auto a = rpc::message_cast<WriteArgs>(call.args);
-      res = a ? do_write_(p, *a) : nullptr;
-      break;
-    }
-    case Proc::kCreate: {
-      auto a = rpc::message_cast<CreateArgs>(call.args);
-      res = a ? do_create_(*a, call.cred) : nullptr;
-      break;
-    }
-    case Proc::kMkdir: {
-      auto a = rpc::message_cast<MkdirArgs>(call.args);
-      res = a ? do_mkdir_(*a, call.cred) : nullptr;
-      break;
-    }
-    case Proc::kSymlink: {
-      auto a = rpc::message_cast<SymlinkArgs>(call.args);
-      res = a ? do_symlink_(*a) : nullptr;
-      break;
-    }
-    case Proc::kRemove: {
-      auto a = rpc::message_cast<RemoveArgs>(call.args);
-      res = a ? do_remove_(*a) : nullptr;
-      break;
-    }
-    case Proc::kRmdir: {
-      auto a = rpc::message_cast<RemoveArgs>(call.args);
-      res = a ? do_rmdir_(*a) : nullptr;
-      break;
-    }
-    case Proc::kRename: {
-      auto a = rpc::message_cast<RenameArgs>(call.args);
-      res = a ? do_rename_(*a) : nullptr;
-      break;
-    }
-    case Proc::kLink: {
-      auto a = rpc::message_cast<LinkArgs>(call.args);
-      res = a ? do_link_(*a) : nullptr;
-      break;
-    }
-    case Proc::kReaddir: {
-      auto a = rpc::message_cast<ReaddirArgs>(call.args);
-      res = a ? do_readdir_(*a) : nullptr;
-      break;
-    }
-    case Proc::kReaddirplus: {
-      auto a = rpc::message_cast<ReaddirplusArgs>(call.args);
-      res = a ? do_readdirplus_(*a) : nullptr;
-      break;
-    }
-    case Proc::kPathconf: {
-      auto a = rpc::message_cast<GetattrArgs>(call.args);
-      res = a ? do_pathconf_(*a) : nullptr;
-      break;
-    }
-    case Proc::kFsstat:
-      res = do_fsstat_();
-      break;
-    case Proc::kFsinfo:
-      res = do_fsinfo_();
-      break;
-    case Proc::kCommit: {
-      auto a = rpc::message_cast<CommitArgs>(call.args);
-      res = a ? do_commit_(p, *a) : nullptr;
-      break;
-    }
-    case Proc::kLeaseAcquire: {
-      auto a = rpc::message_cast<LeaseArgs>(call.args);
-      res = a ? do_lease_acquire_(p, *a) : nullptr;
-      break;
-    }
-    case Proc::kLeaseRelease: {
-      auto a = rpc::message_cast<LeaseReleaseArgs>(call.args);
-      res = a ? do_lease_release_(*a) : nullptr;
-      break;
-    }
-    default:
-      return rpc::make_error_reply(call, err(ErrCode::kRpcMismatch, "bad proc"));
+constexpr std::array<NfsServer::Handler, kNfsProcs.size()> NfsServer::kHandlers_ = [] {
+  using S = NfsServer;
+  std::array<Handler, kNfsProcs.size()> h{};
+  auto at = [&h](Proc proc) -> Handler& { return h[static_cast<u32>(proc)]; };
+  at(Proc::kNull) = &S::serve_<&S::do_null_>;
+  at(Proc::kGetattr) = &S::serve_<&S::do_getattr_>;
+  at(Proc::kSetattr) = &S::serve_<&S::do_setattr_>;
+  at(Proc::kLookup) = &S::serve_<&S::do_lookup_>;
+  at(Proc::kAccess) = &S::serve_<&S::do_access_>;
+  at(Proc::kReadlink) = &S::serve_<&S::do_readlink_>;
+  at(Proc::kRead) = &S::serve_<&S::do_read_>;
+  at(Proc::kWrite) = &S::serve_<&S::do_write_>;
+  at(Proc::kCreate) = &S::serve_<&S::do_create_>;
+  at(Proc::kMkdir) = &S::serve_<&S::do_mkdir_>;
+  at(Proc::kSymlink) = &S::serve_<&S::do_symlink_>;
+  at(Proc::kRemove) = &S::serve_<&S::do_remove_>;
+  at(Proc::kRmdir) = &S::serve_<&S::do_rmdir_>;
+  at(Proc::kRename) = &S::serve_<&S::do_rename_>;
+  at(Proc::kLink) = &S::serve_<&S::do_link_>;
+  at(Proc::kReaddir) = &S::serve_<&S::do_readdir_>;
+  at(Proc::kReaddirplus) = &S::serve_<&S::do_readdirplus_>;
+  at(Proc::kFsstat) = &S::serve_<&S::do_fsstat_>;
+  at(Proc::kFsinfo) = &S::serve_<&S::do_fsinfo_>;
+  at(Proc::kPathconf) = &S::serve_<&S::do_pathconf_>;
+  at(Proc::kCommit) = &S::serve_<&S::do_commit_>;
+  at(Proc::kLeaseAcquire) = &S::serve_<&S::do_lease_acquire_>;
+  at(Proc::kLeaseRelease) = &S::serve_<&S::do_lease_release_>;
+  return h;
+}();
+
+template <auto Do>
+rpc::MessagePtr NfsServer::serve_(sim::Process& p, const rpc::RpcCall& call) {
+  using Args = decltype(args_type(Do));
+  if constexpr (std::is_same_v<Args, VoidMsg>) {
+    return (this->*Do)(p, VoidMsg{}, call.cred);
+  } else {
+    const auto* a = dynamic_cast<const Args*>(call.args.get());
+    return a != nullptr ? (this->*Do)(p, *a, call.cred) : nullptr;
   }
+}
+
+rpc::RpcReply NfsServer::dispatch_nfs_(sim::Process& p, const rpc::RpcCall& call) {
+  Handler h = call.proc < kHandlers_.size() ? kHandlers_[call.proc] : nullptr;
+  if (h == nullptr) {
+    return rpc::make_error_reply(call, err(ErrCode::kRpcMismatch, "bad proc"));
+  }
+  // gvfs-yield: yields via the procedure's handler (READ, WRITE, SETATTR and COMMIT reach the disk)
+  rpc::MessagePtr res = (this->*h)(p, call);
   if (!res) return rpc::make_error_reply(call, err(ErrCode::kBadXdr, "bad args type"));
   return rpc::make_reply(call, std::move(res));
 }
 
-rpc::MessagePtr NfsServer::do_getattr_(const GetattrArgs& a) {
+rpc::MessagePtr NfsServer::do_null_(sim::Process&, const VoidMsg&, const Cred&) {
+  return std::make_shared<VoidMsg>();
+}
+
+rpc::MessagePtr NfsServer::do_getattr_(sim::Process&, const GetattrArgs& a, const Cred&) {
   auto res = std::make_shared<GetattrRes>();
   auto attr = fs_.getattr(a.fh.fileid);
   if (!attr.is_ok()) {
@@ -382,7 +297,8 @@ rpc::MessagePtr NfsServer::do_getattr_(const GetattrArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_setattr_(sim::Process& p, const SetattrArgs& a) {
+rpc::MessagePtr NfsServer::do_setattr_(sim::Process& p, const SetattrArgs& a,
+                                       const Cred&) {
   auto res = std::make_shared<SetattrRes>();
   // Truncation drops cached pages past EOF — cheap metadata op on disk.
   if (a.sattr.sa.set_size) disk_.access(p, 4_KiB, sim::Locality::kSequential);
@@ -392,7 +308,7 @@ rpc::MessagePtr NfsServer::do_setattr_(sim::Process& p, const SetattrArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_lookup_(const LookupArgs& a) {
+rpc::MessagePtr NfsServer::do_lookup_(sim::Process&, const LookupArgs& a, const Cred&) {
   auto res = std::make_shared<LookupRes>();
   auto id = fs_.lookup(a.dir.fileid, a.name);
   if (!id.is_ok()) {
@@ -405,7 +321,7 @@ rpc::MessagePtr NfsServer::do_lookup_(const LookupArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_access_(const AccessArgs& a) {
+rpc::MessagePtr NfsServer::do_access_(sim::Process&, const AccessArgs& a, const Cred&) {
   auto res = std::make_shared<AccessRes>();
   auto attr = fs_.getattr(a.fh.fileid);
   if (!attr.is_ok()) {
@@ -417,7 +333,8 @@ rpc::MessagePtr NfsServer::do_access_(const AccessArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_readlink_(const ReadlinkArgs& a) {
+rpc::MessagePtr NfsServer::do_readlink_(sim::Process&, const ReadlinkArgs& a,
+                                        const Cred&) {
   auto res = std::make_shared<ReadlinkRes>();
   auto target = fs_.readlink(a.fh.fileid);
   if (!target.is_ok()) {
@@ -429,7 +346,7 @@ rpc::MessagePtr NfsServer::do_readlink_(const ReadlinkArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_read_(sim::Process& p, const ReadArgs& a) {
+rpc::MessagePtr NfsServer::do_read_(sim::Process& p, const ReadArgs& a, const Cred&) {
   auto res = std::make_shared<ReadRes>();
   auto attr = fs_.getattr(a.fh.fileid);
   if (!attr.is_ok()) {
@@ -456,7 +373,7 @@ rpc::MessagePtr NfsServer::do_read_(sim::Process& p, const ReadArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_write_(sim::Process& p, const WriteArgs& a) {
+rpc::MessagePtr NfsServer::do_write_(sim::Process& p, const WriteArgs& a, const Cred&) {
   auto res = std::make_shared<WriteRes>();
   u32 count = std::min(a.count, cfg_.max_io);
   if (!a.data || a.data->size() < count) {
@@ -481,7 +398,7 @@ rpc::MessagePtr NfsServer::do_write_(sim::Process& p, const WriteArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_create_(const CreateArgs& a, const rpc::Credential& cred) {
+rpc::MessagePtr NfsServer::do_create_(sim::Process&, const CreateArgs& a, const Cred& cred) {
   auto res = std::make_shared<CreateRes>();
   auto id = fs_.create(a.dir.fileid, a.name,
                        a.sattr.sa.set_mode ? a.sattr.sa.mode : 0644, cred.uid,
@@ -495,7 +412,7 @@ rpc::MessagePtr NfsServer::do_create_(const CreateArgs& a, const rpc::Credential
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_mkdir_(const MkdirArgs& a, const rpc::Credential& cred) {
+rpc::MessagePtr NfsServer::do_mkdir_(sim::Process&, const MkdirArgs& a, const Cred& cred) {
   auto res = std::make_shared<MkdirRes>();
   auto id = fs_.mkdir(a.dir.fileid, a.name,
                       a.sattr.sa.set_mode ? a.sattr.sa.mode : 0755, cred.uid,
@@ -509,7 +426,7 @@ rpc::MessagePtr NfsServer::do_mkdir_(const MkdirArgs& a, const rpc::Credential& 
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_symlink_(const SymlinkArgs& a) {
+rpc::MessagePtr NfsServer::do_symlink_(sim::Process&, const SymlinkArgs& a, const Cred&) {
   auto res = std::make_shared<SymlinkRes>();
   auto id = fs_.symlink(a.dir.fileid, a.name, a.target);
   if (!id.is_ok()) {
@@ -521,21 +438,21 @@ rpc::MessagePtr NfsServer::do_symlink_(const SymlinkArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_remove_(const RemoveArgs& a) {
+rpc::MessagePtr NfsServer::do_remove_(sim::Process&, const RemoveArgs& a, const Cred&) {
   auto res = std::make_shared<RemoveRes>();
   res->status = to_nfsstat(fs_.remove(a.dir.fileid, a.name));
   res->dir_attr = post_attr_(a.dir.fileid);
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_rmdir_(const RemoveArgs& a) {
+rpc::MessagePtr NfsServer::do_rmdir_(sim::Process&, const RemoveArgs& a, const Cred&) {
   auto res = std::make_shared<RemoveRes>();
   res->status = to_nfsstat(fs_.rmdir(a.dir.fileid, a.name));
   res->dir_attr = post_attr_(a.dir.fileid);
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_rename_(const RenameArgs& a) {
+rpc::MessagePtr NfsServer::do_rename_(sim::Process&, const RenameArgs& a, const Cred&) {
   auto res = std::make_shared<RenameRes>();
   res->status = to_nfsstat(
       fs_.rename(a.from_dir.fileid, a.from_name, a.to_dir.fileid, a.to_name));
@@ -543,7 +460,7 @@ rpc::MessagePtr NfsServer::do_rename_(const RenameArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_link_(const LinkArgs& a) {
+rpc::MessagePtr NfsServer::do_link_(sim::Process&, const LinkArgs& a, const Cred&) {
   auto res = std::make_shared<LinkRes>();
   res->status = to_nfsstat(fs_.link(a.file.fileid, a.dir.fileid, a.name));
   res->file_attr = post_attr_(a.file.fileid);
@@ -551,7 +468,8 @@ rpc::MessagePtr NfsServer::do_link_(const LinkArgs& a) {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_readdirplus_(const ReaddirplusArgs& a) {
+rpc::MessagePtr NfsServer::do_readdirplus_(sim::Process&, const ReaddirplusArgs& a,
+                                           const Cred&) {
   auto res = std::make_shared<ReaddirplusRes>();
   auto entries = fs_.readdir(a.dir.fileid);
   if (!entries.is_ok()) {
@@ -562,32 +480,31 @@ rpc::MessagePtr NfsServer::do_readdirplus_(const ReaddirplusArgs& a) {
   u64 used = 0;
   for (u64 i = a.cookie; i < entries->size(); ++i) {
     const auto& e = (*entries)[i];
-    u64 entry_size = 4 + 8 + xdr::size_string(e.name.size()) + 8 +
-                     Fattr::wire_size() + 8 + Fh::wire_size();
-    if (used + entry_size > budget && !res->entries.empty()) {
-      res->eof = false;
-      break;
-    }
-    used += entry_size;
     ReaddirplusRes::Entry out;
     out.fileid = e.id;
     out.name = e.name;
     out.cookie = i + 1;
     out.fh = Fh{cfg_.fsid, e.id};
     out.attr = post_attr_(e.id);
+    u64 entry_size = 4 + xdr::size_of(out);  // + value-follows
+    if (used + entry_size > budget && !res->entries.empty()) {
+      res->eof = false;
+      break;
+    }
+    used += entry_size;
     res->entries.push_back(std::move(out));
   }
   res->dir_attr = post_attr_(a.dir.fileid);
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_pathconf_(const GetattrArgs& a) {
+rpc::MessagePtr NfsServer::do_pathconf_(sim::Process&, const GetattrArgs& a, const Cred&) {
   auto res = std::make_shared<PathconfRes>();
   res->attr = post_attr_(a.fh.fileid);
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_readdir_(const ReaddirArgs& a) {
+rpc::MessagePtr NfsServer::do_readdir_(sim::Process&, const ReaddirArgs& a, const Cred&) {
   auto res = std::make_shared<ReaddirRes>();
   auto entries = fs_.readdir(a.dir.fileid);
   if (!entries.is_ok()) {
@@ -600,19 +517,20 @@ rpc::MessagePtr NfsServer::do_readdir_(const ReaddirArgs& a) {
   u64 used = 0;
   for (u64 i = cookie; i < entries->size(); ++i) {
     const auto& e = (*entries)[i];
-    u64 entry_size = 4 + 8 + xdr::size_string(e.name.size()) + 8;
+    ReaddirRes::Entry out{e.id, e.name, i + 1};
+    u64 entry_size = 4 + xdr::size_of(out);  // + value-follows
     if (used + entry_size > budget && !res->entries.empty()) {
       res->eof = false;
       break;
     }
     used += entry_size;
-    res->entries.push_back(ReaddirRes::Entry{e.id, e.name, i + 1});
+    res->entries.push_back(std::move(out));
   }
   res->dir_attr = post_attr_(a.dir.fileid);
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_fsstat_() {
+rpc::MessagePtr NfsServer::do_fsstat_(sim::Process&, const VoidMsg&, const Cred&) {
   auto res = std::make_shared<FsstatRes>();
   res->total_bytes = 576_GiB;
   res->free_bytes = 500_GiB;
@@ -620,14 +538,14 @@ rpc::MessagePtr NfsServer::do_fsstat_() {
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_fsinfo_() {
+rpc::MessagePtr NfsServer::do_fsinfo_(sim::Process&, const VoidMsg&, const Cred&) {
   auto res = std::make_shared<FsinfoRes>();
   res->rtmax = res->rtpref = cfg_.max_io;
   res->wtmax = res->wtpref = cfg_.max_io;
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_commit_(sim::Process& p, const CommitArgs& a) {
+rpc::MessagePtr NfsServer::do_commit_(sim::Process& p, const CommitArgs& a, const Cred&) {
   auto res = std::make_shared<CommitRes>();
   flush_dirty_(p, a.fh.fileid);
   res->verifier = write_verifier_;
@@ -648,7 +566,8 @@ rpc::MessagePtr NfsServer::do_commit_(sim::Process& p, const CommitArgs& a) {
 // lease_remove_holder_, lease_expire_holders_ and clear_leases; gvfs_lint
 // enforces this (rule: lease-table-mutation).
 
-rpc::MessagePtr NfsServer::do_lease_acquire_(sim::Process& p, const LeaseArgs& a) {
+rpc::MessagePtr NfsServer::do_lease_acquire_(sim::Process& p, const LeaseArgs& a,
+                                             const Cred&) {
   auto res = std::make_shared<LeaseRes>();
   if (!cfg_.enable_leases) {
     res->status = NfsStat::kNotSupported;
@@ -694,7 +613,8 @@ rpc::MessagePtr NfsServer::do_lease_acquire_(sim::Process& p, const LeaseArgs& a
   return res;
 }
 
-rpc::MessagePtr NfsServer::do_lease_release_(const LeaseReleaseArgs& a) {
+rpc::MessagePtr NfsServer::do_lease_release_(sim::Process&, const LeaseReleaseArgs& a,
+                                             const Cred&) {
   auto res = std::make_shared<LeaseReleaseRes>();
   if (!cfg_.enable_leases) {
     res->status = NfsStat::kNotSupported;

@@ -5,6 +5,7 @@
 // image server.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <string>
@@ -78,8 +79,13 @@ class NfsServer final : public rpc::RpcHandler {
   [[nodiscard]] vfs::MemFs& fs() { return fs_; }
   [[nodiscard]] vfs::BufferCache& page_cache() { return page_cache_; }
 
-  // Per-procedure call counters (experiment observability).
-  [[nodiscard]] u64 calls(Proc proc) const;
+  // NFS calls per procedure (experiment observability). total_calls()
+  // counts every call, MOUNT included.
+  [[nodiscard]] u64 calls(Proc proc) const {
+    return static_cast<u32>(proc) < proc_calls_.size()
+               ? proc_calls_[static_cast<u32>(proc)]
+               : 0;
+  }
   [[nodiscard]] u64 total_calls() const { return total_calls_.value(); }
   void reset_stats();
 
@@ -196,32 +202,41 @@ class NfsServer final : public rpc::RpcHandler {
   rpc::RpcReply dispatch_mount_(sim::Process& p, const rpc::RpcCall& call);
 
   // Duplicate request cache internals.
-  static bool is_nonidempotent_(Proc proc);
   [[nodiscard]] u64 drc_key_(const rpc::RpcCall& call) const;
   static bool drc_matches_(const DrcEntry& e, const rpc::RpcCall& call);
 
-  rpc::MessagePtr do_getattr_(const GetattrArgs& a);
-  rpc::MessagePtr do_setattr_(sim::Process& p, const SetattrArgs& a);
-  rpc::MessagePtr do_lookup_(const LookupArgs& a);
-  rpc::MessagePtr do_access_(const AccessArgs& a);
-  rpc::MessagePtr do_readlink_(const ReadlinkArgs& a);
-  rpc::MessagePtr do_read_(sim::Process& p, const ReadArgs& a);
-  rpc::MessagePtr do_write_(sim::Process& p, const WriteArgs& a);
-  rpc::MessagePtr do_create_(const CreateArgs& a, const rpc::Credential& cred);
-  rpc::MessagePtr do_mkdir_(const MkdirArgs& a, const rpc::Credential& cred);
-  rpc::MessagePtr do_symlink_(const SymlinkArgs& a);
-  rpc::MessagePtr do_remove_(const RemoveArgs& a);
-  rpc::MessagePtr do_rmdir_(const RemoveArgs& a);
-  rpc::MessagePtr do_rename_(const RenameArgs& a);
-  rpc::MessagePtr do_link_(const LinkArgs& a);
-  rpc::MessagePtr do_readdir_(const ReaddirArgs& a);
-  rpc::MessagePtr do_readdirplus_(const ReaddirplusArgs& a);
-  rpc::MessagePtr do_pathconf_(const GetattrArgs& a);
-  rpc::MessagePtr do_fsstat_();
-  rpc::MessagePtr do_fsinfo_();
-  rpc::MessagePtr do_commit_(sim::Process& p, const CommitArgs& a);
-  rpc::MessagePtr do_lease_acquire_(sim::Process& p, const LeaseArgs& a);
-  rpc::MessagePtr do_lease_release_(const LeaseReleaseArgs& a);
+  // The handler of each NFS procedure, indexed by procedure number like
+  // kNfsProcs. serve_<Do> downcasts the call's arguments to the type `Do`
+  // takes; a handler taking VoidMsg ignores them.
+  using Handler = rpc::MessagePtr (NfsServer::*)(sim::Process&, const rpc::RpcCall&);
+  static const std::array<Handler, kNfsProcs.size()> kHandlers_;
+  template <auto Do>
+  rpc::MessagePtr serve_(sim::Process& p, const rpc::RpcCall& call);
+
+  using Cred = rpc::Credential;
+  rpc::MessagePtr do_null_(sim::Process&, const VoidMsg&, const Cred&);
+  rpc::MessagePtr do_getattr_(sim::Process&, const GetattrArgs& a, const Cred&);
+  rpc::MessagePtr do_setattr_(sim::Process& p, const SetattrArgs& a, const Cred&);
+  rpc::MessagePtr do_lookup_(sim::Process&, const LookupArgs& a, const Cred&);
+  rpc::MessagePtr do_access_(sim::Process&, const AccessArgs& a, const Cred&);
+  rpc::MessagePtr do_readlink_(sim::Process&, const ReadlinkArgs& a, const Cred&);
+  rpc::MessagePtr do_read_(sim::Process& p, const ReadArgs& a, const Cred&);
+  rpc::MessagePtr do_write_(sim::Process& p, const WriteArgs& a, const Cred&);
+  rpc::MessagePtr do_create_(sim::Process&, const CreateArgs& a, const Cred& cred);
+  rpc::MessagePtr do_mkdir_(sim::Process&, const MkdirArgs& a, const Cred& cred);
+  rpc::MessagePtr do_symlink_(sim::Process&, const SymlinkArgs& a, const Cred&);
+  rpc::MessagePtr do_remove_(sim::Process&, const RemoveArgs& a, const Cred&);
+  rpc::MessagePtr do_rmdir_(sim::Process&, const RemoveArgs& a, const Cred&);
+  rpc::MessagePtr do_rename_(sim::Process&, const RenameArgs& a, const Cred&);
+  rpc::MessagePtr do_link_(sim::Process&, const LinkArgs& a, const Cred&);
+  rpc::MessagePtr do_readdir_(sim::Process&, const ReaddirArgs& a, const Cred&);
+  rpc::MessagePtr do_readdirplus_(sim::Process&, const ReaddirplusArgs& a, const Cred&);
+  rpc::MessagePtr do_pathconf_(sim::Process&, const GetattrArgs& a, const Cred&);
+  rpc::MessagePtr do_fsstat_(sim::Process&, const VoidMsg&, const Cred&);
+  rpc::MessagePtr do_fsinfo_(sim::Process&, const VoidMsg&, const Cred&);
+  rpc::MessagePtr do_commit_(sim::Process& p, const CommitArgs& a, const Cred&);
+  rpc::MessagePtr do_lease_acquire_(sim::Process& p, const LeaseArgs& a, const Cred&);
+  rpc::MessagePtr do_lease_release_(sim::Process&, const LeaseReleaseArgs& a, const Cred&);
 
   // ---- sanctioned lease-table mutation helpers -----------------------------
   // Every mutation of leases_ goes through these (plus clear_leases()); the
@@ -254,7 +269,7 @@ class NfsServer final : public rpc::RpcHandler {
   std::unordered_map<std::string, vfs::FileId> exports_;
   std::unordered_map<vfs::FileId, u64> dirty_bytes_;
   std::unordered_map<vfs::FileId, u64> last_read_page_;
-  std::unordered_map<u32, u64> proc_calls_;
+  std::array<u64, kNfsProcs.size()> proc_calls_{};
   // Duplicate request cache: bounded FIFO of cached replies for recent
   // non-idempotent transactions, keyed on a hash of (client identity, prog,
   // proc, xid) and verified against the stored full tuple on every hit.

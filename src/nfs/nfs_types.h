@@ -1,12 +1,20 @@
-// NFSv3-style protocol messages (RFC 1813 subset) with XDR codecs and
-// analytic wire sizes. Every procedure used by the paper's workloads is
-// modeled; argument/result structs derive rpc::Message so they flow through
-// channels, proxies and tunnels uniformly.
+// NFSv3-style protocol messages (RFC 1813 subset) and the NFS procedure
+// table. Every message type, and every type nested in one, states its wire
+// layout once, as an XDR field list (`fields`, see xdr/xdr.h); wire_size(),
+// encode() and decode() are derived from it, so the size the simulation
+// charges is the size the encoder writes. Message bodies derive
+// rpc::XdrMessage so they flow through channels, proxies and tunnels
+// uniformly.
+//
+// Adding a procedure takes one field list per new message type, one row in
+// kNfsProcTable below and one NfsServer handler (DESIGN.md §5.1).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "blob/blob.h"
@@ -52,36 +60,6 @@ enum class Proc : u32 {
 // NFSv3 status codes ride the same numeric space as ErrCode (by design).
 using NfsStat = ErrCode;
 
-// Wire-procedure name (trace spans, diagnostics).
-constexpr const char* proc_name(Proc p) {
-  switch (p) {
-    case Proc::kNull: return "NULL";
-    case Proc::kGetattr: return "GETATTR";
-    case Proc::kSetattr: return "SETATTR";
-    case Proc::kLookup: return "LOOKUP";
-    case Proc::kAccess: return "ACCESS";
-    case Proc::kReadlink: return "READLINK";
-    case Proc::kRead: return "READ";
-    case Proc::kWrite: return "WRITE";
-    case Proc::kCreate: return "CREATE";
-    case Proc::kMkdir: return "MKDIR";
-    case Proc::kSymlink: return "SYMLINK";
-    case Proc::kRemove: return "REMOVE";
-    case Proc::kRmdir: return "RMDIR";
-    case Proc::kRename: return "RENAME";
-    case Proc::kLink: return "LINK";
-    case Proc::kReaddir: return "READDIR";
-    case Proc::kReaddirplus: return "READDIRPLUS";
-    case Proc::kFsstat: return "FSSTAT";
-    case Proc::kFsinfo: return "FSINFO";
-    case Proc::kPathconf: return "PATHCONF";
-    case Proc::kCommit: return "COMMIT";
-    case Proc::kLeaseAcquire: return "LEASE_ACQUIRE";
-    case Proc::kLeaseRelease: return "LEASE_RELEASE";
-  }
-  return "?";
-}
-
 // Protocol hard limit on READ/WRITE transfer size (§3.2.1: "up to the NFS
 // protocol limit of 32KB").
 constexpr u32 kMaxBlockSize = 32768;
@@ -89,6 +67,9 @@ constexpr u32 kMaxBlockSize = 32768;
 enum class StableHow : u32 { kUnstable = 0, kDataSync = 1, kFileSync = 2 };
 
 // --------------------------------------------------------------------------
+// Nested types. They are not messages, so each spells out the three members
+// a message inherits from rpc::XdrMessage.
+
 // File handle: fixed 16-byte payload (fsid + fileid) carried as variable
 // opaque on the wire, as real servers do.
 struct Fh {
@@ -99,460 +80,437 @@ struct Fh {
   [[nodiscard]] u64 key() const { return hash_combine(fsid, fileid); }
   bool operator==(const Fh& o) const { return fsid == o.fsid && fileid == o.fileid; }
 
-  static constexpr u64 wire_size() { return xdr::size_opaque(16); }
-  void encode(xdr::XdrEncoder& enc) const;
-  static Result<Fh> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) {
+    io.expect_word(16);  // opaque length: the body is fsid || fileid
+    io(self.fsid, self.fileid);
+  }
+  static constexpr u64 wire_size() { return xdr::size_of(Fh{}); }
+  void encode(xdr::XdrEncoder& enc) const { xdr::encode(*this, enc); }
+  static Result<Fh> decode(xdr::XdrDecoder& dec) { return xdr::decode<Fh>(dec); }
 };
 
 struct FhHash {
   std::size_t operator()(const Fh& fh) const { return static_cast<std::size_t>(fh.key()); }
 };
 
-// fattr3 (84 bytes on the wire).
+// fattr3.
 struct Fattr {
   vfs::Attr a;
 
-  static constexpr u64 wire_size() { return 84; }
-  void encode(xdr::XdrEncoder& enc) const;
-  static Result<Fattr> decode(xdr::XdrDecoder& dec);
+  // The fattr3 layout of a vfs::Attr (PostOpAttr reuses it).
+  static constexpr void attr(auto& a, auto& io) {
+    io(a.type, a.mode, a.nlink, a.uid, a.gid, a.size);
+    io.skip_hyper(a.size);  // used
+    io.skip_hyper(0);       // rdev
+    io.skip_hyper(1);       // fsid
+    io(a.fileid);
+    io.time(a.atime);
+    io.time(a.mtime);
+    io.time(a.ctime);
+  }
+  static constexpr void fields(auto& self, auto& io) { attr(self.a, io); }
+  static constexpr u64 wire_size() { return xdr::size_of(Fattr{}); }
+  void encode(xdr::XdrEncoder& enc) const { xdr::encode(*this, enc); }
+  static Result<Fattr> decode(xdr::XdrDecoder& dec) { return xdr::decode<Fattr>(dec); }
 };
 
 // post_op_attr: bool + optional fattr3.
 struct PostOpAttr {
   std::optional<vfs::Attr> attr;
 
-  [[nodiscard]] u64 wire_size() const {
-    return xdr::size_bool() + (attr ? Fattr::wire_size() : 0);
+  static constexpr void fields(auto& self, auto& io) {
+    io.optional(self.attr, [](auto& a, auto& in) { Fattr::attr(a, in); });
   }
-  void encode(xdr::XdrEncoder& enc) const;
-  static Result<PostOpAttr> decode(xdr::XdrDecoder& dec);
+  [[nodiscard]] u64 wire_size() const { return xdr::size_of(*this); }
+  void encode(xdr::XdrEncoder& enc) const { xdr::encode(*this, enc); }
+  static Result<PostOpAttr> decode(xdr::XdrDecoder& dec) {
+    return xdr::decode<PostOpAttr>(dec);
+  }
 };
 
 // sattr3.
 struct Sattr {
   vfs::SetAttr sa;
 
-  [[nodiscard]] u64 wire_size() const;
-  void encode(xdr::XdrEncoder& enc) const;
-  static Result<Sattr> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.sa.set_mode);
+    if (self.sa.set_mode) io(self.sa.mode);
+    io(self.sa.set_uid);
+    if (self.sa.set_uid) io(self.sa.uid);
+    io(self.sa.set_gid);
+    if (self.sa.set_gid) io(self.sa.gid);
+    io(self.sa.set_size);
+    if (self.sa.set_size) io(self.sa.size);
+    io.skip_word(0);                // atime: DONT_CHANGE
+    io.flag(self.sa.set_mtime, 2);  // mtime: SET_TO_CLIENT_TIME or DONT_CHANGE
+    if (self.sa.set_mtime) io.time(self.sa.mtime);
+  }
+  [[nodiscard]] u64 wire_size() const { return xdr::size_of(*this); }
+  void encode(xdr::XdrEncoder& enc) const { xdr::encode(*this, enc); }
+  static Result<Sattr> decode(xdr::XdrDecoder& dec) { return xdr::decode<Sattr>(dec); }
 };
 
 // --------------------------------------------------------------------------
-// Generic bodies.
+// Message bodies.
 
 // Void body (NULL proc, and a placeholder for errors).
-struct VoidMsg final : rpc::Message {
-  [[nodiscard]] u64 wire_size() const override { return 0; }
-  void encode(xdr::XdrEncoder&) const override {}
+struct VoidMsg final : rpc::XdrMessage<VoidMsg> {
+  static constexpr void fields(auto&, auto&) {}
 };
 
 // Every NFS result starts with a status word; failed results carry only
-// (status + post-op attrs), which we model by zeroing the optional parts.
+// (status + post-op attrs), which the field lists express as branches on it.
 
-struct GetattrArgs final : rpc::Message {
+struct GetattrArgs final : rpc::XdrMessage<GetattrArgs> {
   Fh fh;
-  [[nodiscard]] u64 wire_size() const override { return Fh::wire_size(); }
-  void encode(xdr::XdrEncoder& enc) const override { fh.encode(enc); }
-  static Result<GetattrArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh); }
 };
 
-struct GetattrRes final : rpc::Message {
+struct GetattrRes final : rpc::XdrMessage<GetattrRes> {
   NfsStat status = NfsStat::kOk;
   Fattr attr;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + (status == NfsStat::kOk ? Fattr::wire_size() : 0);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status);
+    if (self.status == NfsStat::kOk) io(self.attr);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<GetattrRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct SetattrArgs final : rpc::Message {
+struct SetattrArgs final : rpc::XdrMessage<SetattrArgs> {
   Fh fh;
   Sattr sattr;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + sattr.wire_size() + xdr::size_bool();  // + guard
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.fh, self.sattr);
+    io.skip_word(0);  // no guard
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<SetattrArgs> decode(xdr::XdrDecoder& dec);
 };
 
-struct SetattrRes final : rpc::Message {
+struct SetattrRes final : rpc::XdrMessage<SetattrRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + attr.wire_size();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<SetattrRes> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.status, self.attr); }
 };
 
-struct LookupArgs final : rpc::Message {
+struct LookupArgs final : rpc::XdrMessage<LookupArgs> {
   Fh dir;
   std::string name;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_string(name.size());
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LookupArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.dir, self.name); }
 };
 
-struct LookupRes final : rpc::Message {
+struct LookupRes final : rpc::XdrMessage<LookupRes> {
   NfsStat status = NfsStat::kOk;
   Fh fh;
   PostOpAttr obj_attr;
   PostOpAttr dir_attr;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + dir_attr.wire_size();
-    if (status == NfsStat::kOk) n += Fh::wire_size() + obj_attr.wire_size();
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status);
+    if (self.status == NfsStat::kOk) io(self.fh, self.obj_attr);
+    io(self.dir_attr);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LookupRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct AccessArgs final : rpc::Message {
+struct AccessArgs final : rpc::XdrMessage<AccessArgs> {
   Fh fh;
   u32 access = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u32();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<AccessArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh, self.access); }
 };
 
-struct AccessRes final : rpc::Message {
+struct AccessRes final : rpc::XdrMessage<AccessRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u32 access = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + attr.wire_size() +
-           (status == NfsStat::kOk ? xdr::size_u32() : 0);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status == NfsStat::kOk) io(self.access);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<AccessRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct ReadlinkArgs final : rpc::Message {
+struct ReadlinkArgs final : rpc::XdrMessage<ReadlinkArgs> {
   Fh fh;
-  [[nodiscard]] u64 wire_size() const override { return Fh::wire_size(); }
-  void encode(xdr::XdrEncoder& enc) const override { fh.encode(enc); }
-  static Result<ReadlinkArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh); }
 };
 
-struct ReadlinkRes final : rpc::Message {
+struct ReadlinkRes final : rpc::XdrMessage<ReadlinkRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   std::string target;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + attr.wire_size() +
-           (status == NfsStat::kOk ? xdr::size_string(target.size()) : 0);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status == NfsStat::kOk) io(self.target);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReadlinkRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct ReadArgs final : rpc::Message {
+struct ReadArgs final : rpc::XdrMessage<ReadArgs> {
   Fh fh;
   u64 offset = 0;
   u32 count = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64() + xdr::size_u32();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReadArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh, self.offset, self.count); }
 };
 
-struct ReadRes final : rpc::Message {
+struct ReadRes final : rpc::XdrMessage<ReadRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u32 count = 0;
   bool eof = false;
   blob::BlobRef data;  // lazy payload; count == data->size()
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + attr.wire_size();
-    if (status == NfsStat::kOk) {
-      n += xdr::size_u32() + xdr::size_bool() + xdr::size_opaque(count);
-    }
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status != NfsStat::kOk) return;
+    io(self.count, self.eof);
+    io.payload(self.data, self.count);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReadRes> decode(xdr::XdrDecoder& dec);
   [[nodiscard]] const blob::Blob* bulk_payload() const override {
     return status == NfsStat::kOk && count > 0 ? data.get() : nullptr;
   }
 };
 
-struct WriteArgs final : rpc::Message {
+struct WriteArgs final : rpc::XdrMessage<WriteArgs> {
   Fh fh;
   u64 offset = 0;
   u32 count = 0;
   StableHow stable = StableHow::kUnstable;
   blob::BlobRef data;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64() + xdr::size_u32() + xdr::size_u32() +
-           xdr::size_opaque(count);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.fh, self.offset, self.count, self.stable);
+    io.payload(self.data, self.count);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<WriteArgs> decode(xdr::XdrDecoder& dec);
   [[nodiscard]] const blob::Blob* bulk_payload() const override {
     return count > 0 ? data.get() : nullptr;
   }
 };
 
-struct WriteRes final : rpc::Message {
+struct WriteRes final : rpc::XdrMessage<WriteRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u32 count = 0;
   StableHow committed = StableHow::kFileSync;
   u64 verifier = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + attr.wire_size();
-    if (status == NfsStat::kOk) {
-      n += xdr::size_u32() + xdr::size_u32() + xdr::size_u64();
-    }
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status == NfsStat::kOk) io(self.count, self.committed, self.verifier);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<WriteRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct CreateArgs final : rpc::Message {
+struct CreateArgs final : rpc::XdrMessage<CreateArgs> {
   Fh dir;
   std::string name;
   Sattr sattr;
-  [[nodiscard]] u64 wire_size() const override {
-    // + createmode word
-    return Fh::wire_size() + xdr::size_string(name.size()) + xdr::size_u32() +
-           sattr.wire_size();
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.dir, self.name);
+    io.skip_word(0);  // createmode UNCHECKED
+    io(self.sattr);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<CreateArgs> decode(xdr::XdrDecoder& dec);
 };
 
-struct CreateRes final : rpc::Message {
+struct CreateRes final : rpc::XdrMessage<CreateRes> {
   NfsStat status = NfsStat::kOk;
   Fh fh;
   PostOpAttr attr;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32();
-    if (status == NfsStat::kOk) {
-      n += xdr::size_bool() + Fh::wire_size() + attr.wire_size();
-    }
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status);
+    if (self.status != NfsStat::kOk) return;
+    io.skip_word(1);  // handle follows
+    io(self.fh, self.attr);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<CreateRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct MkdirArgs final : rpc::Message {
+struct MkdirArgs final : rpc::XdrMessage<MkdirArgs> {
   Fh dir;
   std::string name;
   Sattr sattr;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_string(name.size()) + sattr.wire_size();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<MkdirArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.dir, self.name, self.sattr); }
 };
 
 using MkdirRes = CreateRes;
 
-struct SymlinkArgs final : rpc::Message {
+struct SymlinkArgs final : rpc::XdrMessage<SymlinkArgs> {
   Fh dir;
   std::string name;
   std::string target;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_string(name.size()) +
-           xdr::size_string(target.size());
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<SymlinkArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.dir, self.name, self.target); }
 };
 
 using SymlinkRes = CreateRes;
 
-struct RemoveArgs final : rpc::Message {
+struct RemoveArgs final : rpc::XdrMessage<RemoveArgs> {
   Fh dir;
   std::string name;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_string(name.size());
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<RemoveArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.dir, self.name); }
 };
 
-struct RemoveRes final : rpc::Message {
+struct RemoveRes final : rpc::XdrMessage<RemoveRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr dir_attr;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + dir_attr.wire_size();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<RemoveRes> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.status, self.dir_attr); }
 };
 
-struct RenameArgs final : rpc::Message {
+struct RenameArgs final : rpc::XdrMessage<RenameArgs> {
   Fh from_dir;
   std::string from_name;
   Fh to_dir;
   std::string to_name;
-  [[nodiscard]] u64 wire_size() const override {
-    return 2 * Fh::wire_size() + xdr::size_string(from_name.size()) +
-           xdr::size_string(to_name.size());
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.from_dir, self.from_name, self.to_dir, self.to_name);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<RenameArgs> decode(xdr::XdrDecoder& dec);
 };
 
 using RenameRes = RemoveRes;
 
-struct LinkArgs final : rpc::Message {
+struct LinkArgs final : rpc::XdrMessage<LinkArgs> {
   Fh file;
   Fh dir;
   std::string name;
-  [[nodiscard]] u64 wire_size() const override {
-    return 2 * Fh::wire_size() + xdr::size_string(name.size());
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LinkArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.file, self.dir, self.name); }
 };
 
-struct LinkRes final : rpc::Message {
+struct LinkRes final : rpc::XdrMessage<LinkRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr file_attr;
   PostOpAttr dir_attr;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + file_attr.wire_size() + dir_attr.wire_size();
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.file_attr, self.dir_attr);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LinkRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct ReaddirArgs final : rpc::Message {
+struct ReaddirArgs final : rpc::XdrMessage<ReaddirArgs> {
   Fh dir;
   u64 cookie = 0;
   u32 max_count = 4096;
-  [[nodiscard]] u64 wire_size() const override {
-    // + 8-byte cookie verifier
-    return Fh::wire_size() + xdr::size_u64() + 8 + xdr::size_u32();
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.dir, self.cookie);
+    io.skip_hyper(0);  // cookie verifier
+    io(self.max_count);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReaddirArgs> decode(xdr::XdrDecoder& dec);
 };
 
-struct ReaddirRes final : rpc::Message {
+struct ReaddirRes final : rpc::XdrMessage<ReaddirRes> {
   struct Entry {
     u64 fileid = 0;
     std::string name;
     u64 cookie = 0;
+    static constexpr void fields(auto& self, auto& io) { io(self.fileid, self.name, self.cookie); }
   };
   NfsStat status = NfsStat::kOk;
   PostOpAttr dir_attr;
   std::vector<Entry> entries;
   bool eof = true;
-  [[nodiscard]] u64 wire_size() const override;
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReaddirRes> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.dir_attr);
+    io.skip_hyper(0);  // cookie verifier
+    io(self.entries, self.eof);
+  }
 };
 
 // READDIRPLUS (proc 17): directory entries with handles and attributes, so
 // one round trip primes the client's dentry and attribute caches.
-struct ReaddirplusArgs final : rpc::Message {
+struct ReaddirplusArgs final : rpc::XdrMessage<ReaddirplusArgs> {
   Fh dir;
   u64 cookie = 0;
   u32 dircount = 4096;
   u32 maxcount = 32768;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64() + 8 + 2 * xdr::size_u32();
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.dir, self.cookie);
+    io.skip_hyper(0);  // cookie verifier
+    io(self.dircount, self.maxcount);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReaddirplusArgs> decode(xdr::XdrDecoder& dec);
 };
 
-struct ReaddirplusRes final : rpc::Message {
+struct ReaddirplusRes final : rpc::XdrMessage<ReaddirplusRes> {
   struct Entry {
     u64 fileid = 0;
     std::string name;
     u64 cookie = 0;
     PostOpAttr attr;
     Fh fh;
+    static constexpr void fields(auto& self, auto& io) {
+      io(self.fileid, self.name, self.cookie, self.attr);
+      io.skip_word(1);  // handle follows
+      io(self.fh);
+    }
   };
   NfsStat status = NfsStat::kOk;
   PostOpAttr dir_attr;
   std::vector<Entry> entries;
   bool eof = true;
-  [[nodiscard]] u64 wire_size() const override;
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<ReaddirplusRes> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.dir_attr);
+    io.skip_hyper(0);  // cookie verifier
+    io(self.entries, self.eof);
+  }
 };
 
-struct PathconfRes final : rpc::Message {
+struct PathconfRes final : rpc::XdrMessage<PathconfRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u32 linkmax = 32000;
   u32 name_max = 255;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + attr.wire_size();
-    if (status == NfsStat::kOk) n += 2 * xdr::size_u32() + 4 * xdr::size_bool();
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status != NfsStat::kOk) return;
+    io(self.linkmax, self.name_max);
+    io.skip_word(1);  // no_trunc
+    io.skip_word(0);  // chown_restricted
+    io.skip_word(1);  // case_insensitive = false... case_sensitive fs
+    io.skip_word(1);  // case_preserving
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<PathconfRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct FsstatRes final : rpc::Message {
+struct FsstatRes final : rpc::XdrMessage<FsstatRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u64 total_bytes = 0;
   u64 free_bytes = 0;
   u64 total_files = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + attr.wire_size();
-    if (status == NfsStat::kOk) n += 7 * xdr::size_u64() + xdr::size_u32();
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status != NfsStat::kOk) return;
+    io(self.total_bytes, self.free_bytes);
+    io.skip_hyper(self.free_bytes);  // available
+    io(self.total_files);
+    io.skip_hyper(0);  // free files
+    io.skip_hyper(0);  // available files
+    io.skip_hyper(0);  // combined remaining fields
+    io.skip_word(0);   // invarsec
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<FsstatRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct FsinfoRes final : rpc::Message {
+struct FsinfoRes final : rpc::XdrMessage<FsinfoRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u32 rtmax = kMaxBlockSize;
   u32 wtmax = kMaxBlockSize;
   u32 rtpref = kMaxBlockSize;
   u32 wtpref = kMaxBlockSize;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + attr.wire_size();
-    if (status == NfsStat::kOk) n += 12 * xdr::size_u32();
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status != NfsStat::kOk) return;
+    io(self.rtmax, self.rtpref);
+    io.skip_word(512);  // rtmult
+    io(self.wtmax, self.wtpref);
+    io.skip_word(512);          // wtmult
+    io.skip_word(4096);         // dtpref
+    io.skip_word(0);            // maxfilesize hi
+    io.skip_word(0xffffffffu);  // maxfilesize lo
+    io.skip_word(0);            // time_delta sec
+    io.skip_word(1);            // time_delta nsec
+    io.skip_word(0x1b);         // properties
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<FsinfoRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct CommitArgs final : rpc::Message {
+struct CommitArgs final : rpc::XdrMessage<CommitArgs> {
   Fh fh;
   u64 offset = 0;
   u32 count = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64() + xdr::size_u32();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<CommitArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh, self.offset, self.count); }
 };
 
-struct CommitRes final : rpc::Message {
+struct CommitRes final : rpc::XdrMessage<CommitRes> {
   NfsStat status = NfsStat::kOk;
   PostOpAttr attr;
   u64 verifier = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    u64 n = xdr::size_u32() + attr.wire_size();
-    if (status == NfsStat::kOk) n += xdr::size_u64();
-    return n;
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.attr);
+    if (self.status == NfsStat::kOk) io(self.verifier);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<CommitRes> decode(xdr::XdrDecoder& dec);
 };
 
 // --------------------------------------------------------------------------
@@ -577,18 +535,14 @@ constexpr u32 kLeaseCallbackVersion = 1;
 
 enum class CallbackProc : u32 { kNull = 0, kRecall = 1 };
 
-struct LeaseArgs final : rpc::Message {
+struct LeaseArgs final : rpc::XdrMessage<LeaseArgs> {
   Fh fh;
   u64 client_id = 0;  // stable per-proxy identity (testbed: node index + 1)
   LeaseMode mode = LeaseMode::kRead;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64() + xdr::size_u32();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LeaseArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh, self.client_id, self.mode); }
 };
 
-struct LeaseRes final : rpc::Message {
+struct LeaseRes final : rpc::XdrMessage<LeaseRes> {
   NfsStat status = NfsStat::kOk;
   // kOk + !granted means "conflict being recalled, retry later" — the
   // NFSv4 NFS4ERR_DELAY shape, so the server never blocks an nfsd thread
@@ -596,72 +550,179 @@ struct LeaseRes final : rpc::Message {
   bool granted = false;
   SimTime expiry = 0;  // absolute virtual time the grant lapses
   u32 holders = 0;     // holders sharing the file after this grant
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + xdr::size_bool() + xdr::size_u64() + xdr::size_u32();
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status, self.granted, self.expiry, self.holders);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LeaseRes> decode(xdr::XdrDecoder& dec);
 };
 
-struct LeaseReleaseArgs final : rpc::Message {
+struct LeaseReleaseArgs final : rpc::XdrMessage<LeaseReleaseArgs> {
   Fh fh;
   u64 client_id = 0;
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LeaseReleaseArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.fh, self.client_id); }
 };
 
-struct LeaseReleaseRes final : rpc::Message {
+struct LeaseReleaseRes final : rpc::XdrMessage<LeaseReleaseRes> {
   NfsStat status = NfsStat::kOk;
-  [[nodiscard]] u64 wire_size() const override { return xdr::size_u32(); }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<LeaseReleaseRes> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.status); }
 };
 
 // Server -> proxy recall (callback program, proc kRecall).
-struct RecallArgs final : rpc::Message {
+struct RecallArgs final : rpc::XdrMessage<RecallArgs> {
   Fh fh;
   u64 client_id = 0;        // the holder being recalled
   LeaseMode contender = LeaseMode::kWrite;  // mode the new claimant wants
-  [[nodiscard]] u64 wire_size() const override {
-    return Fh::wire_size() + xdr::size_u64() + xdr::size_u32();
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.fh, self.client_id, self.contender);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<RecallArgs> decode(xdr::XdrDecoder& dec);
 };
 
-struct RecallRes final : rpc::Message {
+struct RecallRes final : rpc::XdrMessage<RecallRes> {
   NfsStat status = NfsStat::kOk;
   bool flushed = false;  // the proxy had dirty state to push before replying
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + xdr::size_bool();
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<RecallRes> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.status, self.flushed); }
 };
 
 // MOUNT program (RFC 1813 appendix): MNT returns the export's root handle.
 enum class MountProc : u32 { kNull = 0, kMnt = 1, kUmnt = 3 };
 
-struct MountArgs final : rpc::Message {
+struct MountArgs final : rpc::XdrMessage<MountArgs> {
   std::string dirpath;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_string(dirpath.size());
-  }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<MountArgs> decode(xdr::XdrDecoder& dec);
+  static constexpr void fields(auto& self, auto& io) { io(self.dirpath); }
 };
 
-struct MountRes final : rpc::Message {
+struct MountRes final : rpc::XdrMessage<MountRes> {
   NfsStat status = NfsStat::kOk;
   Fh root;
-  [[nodiscard]] u64 wire_size() const override {
-    return xdr::size_u32() + (status == NfsStat::kOk ? Fh::wire_size() : 0);
+  static constexpr void fields(auto& self, auto& io) {
+    io(self.status);
+    if (self.status == NfsStat::kOk) io(self.root);
   }
-  void encode(xdr::XdrEncoder& enc) const override;
-  static Result<MountRes> decode(xdr::XdrDecoder& dec);
 };
+
+// --------------------------------------------------------------------------
+// The NFS procedure table.
+
+// How ShardRouter spreads a call over a replicated origin cluster
+// (DESIGN.md §5.7).
+enum class Route : u8 {
+  kAnyOrigin,    // the lowest-indexed live origin
+  kReadOne,      // one live replica of the handle's shard, lowest EWMA first
+  kQuorumWrite,  // every live replica of the handle's shard, serialized
+  kBroadcast,    // every origin, so all hold the namespace and ids align
+};
+
+// A procedure as the duplicate request cache and the router look it up.
+struct ProcInfo {
+  const char* name = "?";
+  bool idempotent = true;  // false: the DRC replays the first reply
+  Route route = Route::kAnyOrigin;
+  Fh (*handle)(const rpc::Message& args) = nullptr;  // null: names no file
+};
+
+// One row of kNfsProcTable: the procedure, its wire name, whether a
+// retransmission may simply run again, its routing class, its argument and
+// result types and the file its call names (`Handle`, a pointer to an Fh
+// member of Args, or nullptr).
+template <class A, class R, auto Handle = nullptr>
+struct ProcRow {
+  using Args = A;
+  using Res = R;
+  Proc proc;
+  const char* name;
+  bool idempotent;
+  Route route;
+
+  [[nodiscard]] constexpr ProcInfo info() const {
+    ProcInfo i{name, idempotent, route, nullptr};
+    if constexpr (Handle != nullptr) {
+      i.handle = [](const rpc::Message& m) {
+        const auto* a = dynamic_cast<const A*>(&m);
+        return a != nullptr ? a->*Handle : Fh{};
+      };
+    }
+    return i;
+  }
+};
+
+constexpr bool kIdempotent = true;
+constexpr bool kReplayed = false;
+
+inline constexpr std::tuple kNfsProcTable{
+    ProcRow<VoidMsg, VoidMsg>{Proc::kNull, "NULL", kIdempotent, Route::kAnyOrigin},
+    ProcRow<GetattrArgs, GetattrRes, &GetattrArgs::fh>{
+        Proc::kGetattr, "GETATTR", kIdempotent, Route::kReadOne},
+    ProcRow<SetattrArgs, SetattrRes, &SetattrArgs::fh>{
+        Proc::kSetattr, "SETATTR", kReplayed, Route::kBroadcast},
+    ProcRow<LookupArgs, LookupRes, &LookupArgs::dir>{
+        Proc::kLookup, "LOOKUP", kIdempotent, Route::kReadOne},
+    ProcRow<AccessArgs, AccessRes, &AccessArgs::fh>{
+        Proc::kAccess, "ACCESS", kIdempotent, Route::kReadOne},
+    ProcRow<ReadlinkArgs, ReadlinkRes, &ReadlinkArgs::fh>{
+        Proc::kReadlink, "READLINK", kIdempotent, Route::kReadOne},
+    ProcRow<ReadArgs, ReadRes, &ReadArgs::fh>{
+        Proc::kRead, "READ", kIdempotent, Route::kReadOne},
+    ProcRow<WriteArgs, WriteRes, &WriteArgs::fh>{
+        Proc::kWrite, "WRITE", kReplayed, Route::kQuorumWrite},
+    ProcRow<CreateArgs, CreateRes, &CreateArgs::dir>{
+        Proc::kCreate, "CREATE", kReplayed, Route::kBroadcast},
+    ProcRow<MkdirArgs, MkdirRes, &MkdirArgs::dir>{
+        Proc::kMkdir, "MKDIR", kReplayed, Route::kBroadcast},
+    ProcRow<SymlinkArgs, SymlinkRes, &SymlinkArgs::dir>{
+        Proc::kSymlink, "SYMLINK", kReplayed, Route::kBroadcast},
+    ProcRow<RemoveArgs, RemoveRes, &RemoveArgs::dir>{
+        Proc::kRemove, "REMOVE", kReplayed, Route::kBroadcast},
+    ProcRow<RemoveArgs, RemoveRes, &RemoveArgs::dir>{
+        Proc::kRmdir, "RMDIR", kReplayed, Route::kBroadcast},
+    ProcRow<RenameArgs, RenameRes, &RenameArgs::from_dir>{
+        Proc::kRename, "RENAME", kReplayed, Route::kBroadcast},
+    ProcRow<LinkArgs, LinkRes, &LinkArgs::file>{
+        Proc::kLink, "LINK", kReplayed, Route::kBroadcast},
+    ProcRow<ReaddirArgs, ReaddirRes, &ReaddirArgs::dir>{
+        Proc::kReaddir, "READDIR", kIdempotent, Route::kReadOne},
+    ProcRow<ReaddirplusArgs, ReaddirplusRes, &ReaddirplusArgs::dir>{
+        Proc::kReaddirplus, "READDIRPLUS", kIdempotent, Route::kReadOne},
+    ProcRow<GetattrArgs, FsstatRes>{Proc::kFsstat, "FSSTAT", kIdempotent,
+                                    Route::kAnyOrigin},
+    ProcRow<GetattrArgs, FsinfoRes>{Proc::kFsinfo, "FSINFO", kIdempotent,
+                                    Route::kAnyOrigin},
+    ProcRow<GetattrArgs, PathconfRes, &GetattrArgs::fh>{
+        Proc::kPathconf, "PATHCONF", kIdempotent, Route::kReadOne},
+    ProcRow<CommitArgs, CommitRes, &CommitArgs::fh>{
+        Proc::kCommit, "COMMIT", kIdempotent, Route::kQuorumWrite},
+    // Lease state lives on the home shard, so LEASE_ACQUIRE/RELEASE fan out
+    // to the shard's replicas like writes: serialized under the shard write
+    // lock and journaled for dead replicas, so a replay keeps lease order.
+    ProcRow<LeaseArgs, LeaseRes, &LeaseArgs::fh>{
+        Proc::kLeaseAcquire, "LEASE_ACQUIRE", kIdempotent, Route::kQuorumWrite},
+    ProcRow<LeaseReleaseArgs, LeaseReleaseRes, &LeaseReleaseArgs::fh>{
+        Proc::kLeaseRelease, "LEASE_RELEASE", kIdempotent, Route::kQuorumWrite},
+};
+
+// kNfsProcTable indexed by procedure number, for lookups at run time. A
+// number with no row (11, MKNOD, is not modeled) reads as ProcInfo{}.
+inline constexpr auto kNfsProcs = std::apply(
+    [](const auto&... row) {
+      std::array<ProcInfo, static_cast<u32>(Proc::kLeaseRelease) + 1> t{};
+      ((t[static_cast<u32>(row.proc)] = row.info()), ...);
+      return t;
+    },
+    kNfsProcTable);
+
+inline constexpr ProcInfo kNoProc{};
+
+constexpr const ProcInfo& proc_info(u32 proc) {
+  return proc < kNfsProcs.size() ? kNfsProcs[proc] : kNoProc;
+}
+
+// Wire-procedure name (trace spans, diagnostics).
+constexpr const char* proc_name(Proc p) { return proc_info(static_cast<u32>(p)).name; }
+
+// The file an NFS call names; invalid for other programs and for
+// procedures that name none.
+inline Fh call_handle(const rpc::RpcCall& call) {
+  const ProcInfo& info = proc_info(call.proc);
+  if (call.prog != rpc::kNfsProgram || info.handle == nullptr || !call.args) return {};
+  return info.handle(*call.args);
+}
 
 }  // namespace gvfs::nfs

@@ -153,8 +153,7 @@ void GvfsProxy::remember_attr_(const Fh& fh, const vfs::Attr& a, SimTime now) {
   if (auto it = attr_cache_.find(key); it != attr_cache_.end()) {
     it->second = CachedAttr{a, now + cfg_.attr_ttl, ++attr_tick_};
   } else {
-    if (cfg_.attr_cache_entries > 0 &&
-        attr_cache_.size() >= cfg_.attr_cache_entries) {
+    if (attr_cache_.size() >= kAttrCacheEntries) {
       // Bounded attr cache: evict the least-recently-touched entry. Linear
       // scan — eviction only runs past the (large) bound, and ticks are
       // unique, so the minimum is well defined and hash order cannot leak
@@ -350,7 +349,7 @@ void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
   }
   prof.last_block = block;
   if (cfg_.prefetch_depth == 0 || block_cache_ == nullptr ||
-      prof.run < cfg_.prefetch_trigger) {
+      prof.run < kPrefetchTrigger) {
     return;
   }
   // Keep a read-ahead window of `prefetch_depth` blocks open: refill only
@@ -982,7 +981,6 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
   attr_cache_.erase(key);
   attr_gauge_sync_();
   size_override_.erase(key);
-  commit_pending_.erase(key);
   profiles_.erase(key);
   held_leases_.erase(key);
   res->status = NfsStat::kOk;
@@ -1327,7 +1325,6 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
     }
   }
   size_override_[key] = std::max(known, end);
-  commit_pending_.insert(key);
   writes_absorbed_.inc();
   if (tracer_) tracer_->annotate(&p, cfg_.name, "write_absorbed", p.now());
 
@@ -1386,19 +1383,13 @@ rpc::RpcReply GvfsProxy::handle_commit_(sim::Process& p, const rpc::RpcCall& cal
       block_cache_ != nullptr &&
       block_cache_->config().policy == cache::WritePolicy::kWriteBack;
   bool file_cached = file_cache_ != nullptr && file_cache_->contains(a.fh.key());
-  if (cfg_.absorb_commit && (write_back_mode || file_cached)) {
+  if (write_back_mode || file_cached) {
+    // Write-back mode acknowledges COMMIT locally; consistency comes from
+    // middleware signals (§3.2.1).
     auto res = std::make_shared<nfs::CommitRes>();
     if (auto attr = cached_attr_(a.fh, p.now())) res->attr.attr = *attr;
     res->verifier = 0x67766673ULL;
     return rpc::make_reply(call, res);
-  }
-  if (write_back_mode && !cfg_.absorb_commit) {
-    // Honest COMMIT: the client asked for durability, so dirty blocks staged
-    // in the cache (and, under async write-back, in the log) must reach the
-    // server before the COMMIT is forwarded.
-    Status st = write_back_(p, a.fh.key());
-    if (!st.is_ok()) return rpc::make_error_reply(call, st);
-    commit_pending_.erase(a.fh.key());
   }
   rpc::RpcReply reply = forward_(p, call);
   if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
@@ -1474,7 +1465,6 @@ Status GvfsProxy::signal_write_back(sim::Process& p) {
   if (file_cache_ != nullptr) {
     GVFS_RETURN_IF_ERROR(file_cache_->write_back_all(p));
   }
-  commit_pending_.clear();
   return Status::ok();
 }
 
@@ -1485,7 +1475,6 @@ void GvfsProxy::drop_soft_state() {
   size_override_.clear();
   metas_.clear();
   meta_negative_.clear();
-  commit_pending_.clear();
   // Stale ahead_until/run would make the refill guard suppress read-ahead
   // on the next cold pass over the same file.
   profiles_.clear();

@@ -38,17 +38,13 @@ struct ProxyConfig {
   // (<= the 32 KB NFS limit) regardless of the downstream rsize.
   u32 fetch_block = 32_KiB;
   SimDuration attr_ttl = 5 * kSecond;
-  // In write-back mode the proxy acknowledges COMMIT locally; consistency
-  // comes from middleware signals (§3.2.1).
-  bool absorb_commit = true;
   bool enable_meta = true;  // honour meta-data files when found
 
   // §6 future work, implemented: dynamic profiling of access behaviour to
-  // drive pre-fetching. After `prefetch_trigger` consecutive sequential
-  // block fetches on a file, the proxy pipelines `prefetch_depth` blocks
-  // ahead (0 disables).
+  // drive pre-fetching. After kPrefetchTrigger consecutive sequential block
+  // fetches on a file, the proxy pipelines `prefetch_depth` blocks ahead
+  // (0 disables).
   u32 prefetch_depth = 0;
-  u32 prefetch_trigger = 3;
 
   // Degraded-mode operation during WAN outages (partitions, server
   // reboots): keep serving reads from the caches (session consistency
@@ -84,14 +80,16 @@ struct ProxyConfig {
   bool enable_leases = false;
   // Identity presented on LEASE_ACQUIRE and matched by server recalls.
   u64 lease_client_id = 0;
-
-  // Bound on attr_cache_ entries; the least-recently-touched entry is
-  // evicted past it. 0 = unbounded (pre-fix behavior, tests only).
-  u32 attr_cache_entries = 8192;
 };
 
 class GvfsProxy final : public rpc::RpcHandler {
  public:
+  // Sequential block fetches on a file before read-ahead starts.
+  static constexpr u32 kPrefetchTrigger = 3;
+  // Bound on cached attributes; the least-recently-touched entry is evicted
+  // past it.
+  static constexpr u32 kAttrCacheEntries = 8192;
+
   GvfsProxy(ProxyConfig cfg, rpc::RpcChannel& upstream);
 
   // ---- attachments ---------------------------------------------------------
@@ -375,7 +373,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   struct CachedAttr {
     vfs::Attr attr;
     SimTime expires;
-    u64 lru_tick = 0;  // recency for bounded eviction (attr_cache_entries)
+    u64 lru_tick = 0;  // recency for bounded eviction (kAttrCacheEntries)
   };
   std::unordered_map<u64, CachedAttr> attr_cache_;          // fh.key()
   std::unordered_map<u64, u64> size_override_;              // staged sizes
@@ -384,7 +382,6 @@ class GvfsProxy final : public rpc::RpcHandler {
   std::unordered_set<u64> meta_negative_;                   // probed, none found
   std::unordered_set<u64> dedup_written_;  // fh keys whose fp table went stale
   std::unordered_map<u64, nfs::Fh> key_to_fh_;
-  std::unordered_set<u64> commit_pending_;  // fh keys with absorbed writes
   rpc::Credential session_cred_;  // per-session identity used upstream
 
   // Access profile per file: last block fetched and current sequential run

@@ -46,109 +46,6 @@ std::vector<u32> ShardRouter::replicas_of(u32 shard) const {
   return set;
 }
 
-ShardRouter::Route ShardRouter::classify_(const rpc::RpcCall& call) {
-  if (call.prog != rpc::kNfsProgram) return Route::kAnyOrigin;
-  switch (static_cast<nfs::Proc>(call.proc)) {
-    case nfs::Proc::kWrite:
-    case nfs::Proc::kCommit:
-    // Lease state lives on the home shard: acquire/release fan out to the
-    // shard's replica set exactly like writes (serialized under the shard
-    // write lock, journaled for dead replicas so replay preserves
-    // lease-order).
-    case nfs::Proc::kLeaseAcquire:
-    case nfs::Proc::kLeaseRelease:
-      return Route::kQuorumWrite;
-    case nfs::Proc::kSetattr:
-    case nfs::Proc::kCreate:
-    case nfs::Proc::kMkdir:
-    case nfs::Proc::kSymlink:
-    case nfs::Proc::kRemove:
-    case nfs::Proc::kRmdir:
-    case nfs::Proc::kRename:
-    case nfs::Proc::kLink:
-      return Route::kBroadcast;
-    case nfs::Proc::kGetattr:
-    case nfs::Proc::kLookup:
-    case nfs::Proc::kAccess:
-    case nfs::Proc::kReadlink:
-    case nfs::Proc::kRead:
-    case nfs::Proc::kReaddir:
-    case nfs::Proc::kReaddirplus:
-    case nfs::Proc::kPathconf:
-      return Route::kReadOne;
-    case nfs::Proc::kNull:
-    case nfs::Proc::kFsstat:
-    case nfs::Proc::kFsinfo:
-      return Route::kAnyOrigin;
-  }
-  return Route::kAnyOrigin;
-}
-
-nfs::Fh ShardRouter::route_fh_(const rpc::RpcCall& call) {
-  using nfs::Proc;
-  if (call.prog != rpc::kNfsProgram || !call.args) return {};
-  switch (static_cast<Proc>(call.proc)) {
-    case Proc::kGetattr:
-    case Proc::kPathconf:
-      if (auto a = rpc::message_cast<nfs::GetattrArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kSetattr:
-      if (auto a = rpc::message_cast<nfs::SetattrArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kLookup:
-      if (auto a = rpc::message_cast<nfs::LookupArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kAccess:
-      if (auto a = rpc::message_cast<nfs::AccessArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kReadlink:
-      if (auto a = rpc::message_cast<nfs::ReadlinkArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kRead:
-      if (auto a = rpc::message_cast<nfs::ReadArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kWrite:
-      if (auto a = rpc::message_cast<nfs::WriteArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kCommit:
-      if (auto a = rpc::message_cast<nfs::CommitArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kCreate:
-      if (auto a = rpc::message_cast<nfs::CreateArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kMkdir:
-      if (auto a = rpc::message_cast<nfs::MkdirArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kSymlink:
-      if (auto a = rpc::message_cast<nfs::SymlinkArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kRemove:
-    case Proc::kRmdir:
-      if (auto a = rpc::message_cast<nfs::RemoveArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kRename:
-      if (auto a = rpc::message_cast<nfs::RenameArgs>(call.args)) return a->from_dir;
-      return {};
-    case Proc::kLink:
-      if (auto a = rpc::message_cast<nfs::LinkArgs>(call.args)) return a->file;
-      return {};
-    case Proc::kReaddir:
-      if (auto a = rpc::message_cast<nfs::ReaddirArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kReaddirplus:
-      if (auto a = rpc::message_cast<nfs::ReaddirplusArgs>(call.args)) return a->dir;
-      return {};
-    case Proc::kLeaseAcquire:
-      if (auto a = rpc::message_cast<nfs::LeaseArgs>(call.args)) return a->fh;
-      return {};
-    case Proc::kLeaseRelease:
-      if (auto a = rpc::message_cast<nfs::LeaseReleaseArgs>(call.args)) return a->fh;
-      return {};
-    default:
-      return {};
-  }
-}
-
 int ShardRouter::best_read_replica_(const std::vector<u32>& set) const {
   // The returned index is only as good as the live set it was scanned from;
   // the caller dereferences it immediately, so the scan must not yield.
@@ -345,22 +242,14 @@ u64 ShardRouter::combined_verf_(const std::vector<u32>& set,
 
 rpc::RpcReply ShardRouter::call(sim::Process& p, const rpc::RpcCall& call) {
   maybe_probe_(p);
-  switch (classify_(call)) {
-    case Route::kReadOne: {
-      nfs::Fh fh = route_fh_(call);
-      if (!fh.valid()) return any_origin_(p, call);
-      return read_one_(p, call, fh);
-    }
-    case Route::kQuorumWrite: {
-      nfs::Fh fh = route_fh_(call);
-      if (!fh.valid()) return any_origin_(p, call);
-      return quorum_write_(p, call, fh);
-    }
-    case Route::kBroadcast:
-      return broadcast_(p, call);
-    case Route::kAnyOrigin:
-      return any_origin_(p, call);
-  }
+  const nfs::Route route = call.prog == rpc::kNfsProgram
+                               ? nfs::proc_info(call.proc).route
+                               : nfs::Route::kAnyOrigin;
+  if (route == nfs::Route::kBroadcast) return broadcast_(p, call);
+  nfs::Fh fh = nfs::call_handle(call);
+  if (!fh.valid()) return any_origin_(p, call);
+  if (route == nfs::Route::kReadOne) return read_one_(p, call, fh);
+  if (route == nfs::Route::kQuorumWrite) return quorum_write_(p, call, fh);
   return any_origin_(p, call);
 }
 
@@ -572,7 +461,7 @@ std::vector<rpc::RpcReply> ShardRouter::call_pipelined(
   // degrades to serial routing.
   bool uniform = calls[0].prog == rpc::kNfsProgram;
   auto proc0 = static_cast<nfs::Proc>(calls[0].proc);
-  nfs::Fh fh0 = route_fh_(calls[0]);
+  nfs::Fh fh0 = nfs::call_handle(calls[0]);
   uniform = uniform && fh0.valid() &&
             (proc0 == nfs::Proc::kRead || proc0 == nfs::Proc::kWrite);
   u32 shard0 = fh0.valid() ? shard_of(fh0) : 0;
@@ -582,7 +471,7 @@ std::vector<rpc::RpcReply> ShardRouter::call_pipelined(
       uniform = false;
       break;
     }
-    nfs::Fh f = route_fh_(calls[i]);
+    nfs::Fh f = nfs::call_handle(calls[i]);
     if (!f.valid() || shard_of(f) != shard0) uniform = false;
   }
   if (!uniform) {

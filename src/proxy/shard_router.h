@@ -4,28 +4,31 @@
 // stacks, so the proxy's caching / write-back / degraded machinery runs
 // unchanged above it.
 //
-// Routing policy (deterministic, derived only from the request):
+// Routing policy (deterministic, derived only from the request). Each
+// procedure's routing class and the handle it routes on are its row of
+// nfs::kNfsProcTable:
 //   * shard(fh) = fh.key() % N — the file-handle hash assigns every object a
 //     home shard; shard s is stored on replicas {s, s+1, .., s+R-1 mod N}
 //     (chained declustering, so a crash spreads its load over R-1 peers);
-//   * reads (GETATTR/LOOKUP/ACCESS/READLINK/READ/READDIR*/PATHCONF) go to
-//     the live replica with the lowest EWMA latency (ties break on the lower
-//     origin index) — contention raises a replica's EWMA and traffic drains
-//     to its peers, which is the load-balancing mechanism;
-//   * WRITE/COMMIT fan out to every live replica of the shard and ack only
-//     after all of them answered (R-quorum); the reply carries a *combined*
-//     write verifier hashed over the per-replica verifiers in fixed replica
-//     order, with a dead-epoch marker substituted for dead replicas. Any
-//     single replica rebooting — or the live set changing between WRITE and
-//     COMMIT — perturbs the combined verifier, so the proxy's existing RFC
-//     1813 §3.3.7 mismatch path re-sends the unacked data: per-replica
-//     verifier recovery falls out of PR 5's machinery without proxy changes;
-//   * namespace mutations (SETATTR/CREATE/MKDIR/SYMLINK/REMOVE/RMDIR/
-//     RENAME/LINK) broadcast to all N origins so every origin holds the full
-//     namespace and FileIds stay aligned (identical mutation order on every
-//     origin — concurrent cross-node namespace mutation is out of scope,
-//     see ROADMAP item 4);
-//   * NULL/FSSTAT/FSINFO/MOUNT go to the lowest-indexed live origin.
+//   * reads (Route::kReadOne) go to the live replica with the lowest EWMA
+//     latency (ties break on the lower origin index) — contention raises a
+//     replica's EWMA and traffic drains to its peers, which is the
+//     load-balancing mechanism;
+//   * WRITE/COMMIT (Route::kQuorumWrite) fan out to every live replica of
+//     the shard and ack only after all of them answered (R-quorum); the
+//     reply carries a *combined* write verifier hashed over the per-replica
+//     verifiers in fixed replica order, with a dead-epoch marker substituted
+//     for dead replicas. Any single replica rebooting — or the live set
+//     changing between WRITE and COMMIT — perturbs the combined verifier,
+//     so the proxy's existing RFC 1813 §3.3.7 mismatch path re-sends the
+//     unacked data: per-replica verifier recovery falls out of the proxy's
+//     verifier check without proxy changes;
+//   * namespace mutations (Route::kBroadcast) go to all N origins so every
+//     origin holds the full namespace and FileIds stay aligned (identical
+//     mutation order on every origin — concurrent cross-node namespace
+//     mutation is out of scope, see ROADMAP item 4);
+//   * NULL/FSSTAT/FSINFO/MOUNT (Route::kAnyOrigin) go to the lowest-indexed
+//     live origin.
 //
 // Failover: a kTimeout reply from a replica's channel stack (RetryChannel
 // retransmission budget exhausted) marks it dead. Reads re-route to the next
@@ -125,11 +128,6 @@ class ShardRouter final : public rpc::RpcChannel {
     metrics::Counter reads_routed;
     metrics::Counter writes_routed;
   };
-
-  enum class Route { kReadOne, kQuorumWrite, kBroadcast, kAnyOrigin };
-  static Route classify_(const rpc::RpcCall& call);
-  // Routing handle for the call (the object/dir fh), invalid if none.
-  static nfs::Fh route_fh_(const rpc::RpcCall& call);
 
   [[nodiscard]] int best_read_replica_(const std::vector<u32>& set) const;
   void note_read_latency_(u32 j, double sample_ms);

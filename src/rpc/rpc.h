@@ -1,8 +1,10 @@
 // ONC RPC (RFC 1057) message layer.
 //
-// Calls and replies are structured objects whose bodies implement Message:
-// they can XDR-encode themselves (round-tripped in unit tests) and report an
-// analytic wire_size() used by the simulation transport to charge link time.
+// Calls and replies are structured objects whose bodies implement Message.
+// Protocol bodies derive XdrMessage<T> and state their layout once, as an
+// XDR field list (xdr/xdr.h); wire_size(), encode() and decode() all walk
+// that list. The simulation transport charges link time from wire_size()
+// and never encodes; tests encode to check the two agree.
 // Channels are synchronous — RpcChannel::call blocks the calling simulation
 // process for exactly the time the request and reply spend on the network
 // and in the servers, which is how the paper's NFS-over-WAN latencies arise.
@@ -69,6 +71,24 @@ class Message {
   // (rpc::CompressChannel) derives its byte savings and CPU cost from this
   // without knowing concrete NFS message types.
   [[nodiscard]] virtual const blob::Blob* bulk_payload() const { return nullptr; }
+};
+
+// Base of every message body declared as an XDR field list:
+//
+//   struct GetattrArgs final : rpc::XdrMessage<GetattrArgs> {
+//     Fh fh;
+//     static constexpr void fields(auto& self, auto& io) { io(self.fh); }
+//   };
+template <class T>
+class XdrMessage : public Message {
+ public:
+  [[nodiscard]] u64 wire_size() const override {
+    return xdr::size_of(static_cast<const T&>(*this));
+  }
+  void encode(xdr::XdrEncoder& enc) const override {
+    xdr::encode(static_cast<const T&>(*this), enc);
+  }
+  static Result<T> decode(xdr::XdrDecoder& dec) { return xdr::decode<T>(dec); }
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

@@ -1,8 +1,20 @@
 // XDR (RFC 1014) encoding: big-endian, 4-byte aligned primitives — the wire
-// format beneath ONC RPC and NFS. The encoder produces real octets (unit
-// tests round-trip every protocol message through it); the simulation
-// transport uses the analytic wire_size() of each message, which tests
-// assert equals the encoded size.
+// format beneath ONC RPC and NFS.
+//
+// Each protocol type states its layout once, as a field list
+//
+//   static constexpr void fields(auto& self, auto& io) {
+//     io(self.status);
+//     if (self.status == NfsStat::kOk) io(self.attr);
+//   }
+//
+// naming its fields in wire order: rpcgen's xdr_<type>() shape, one routine
+// whose stream decides the direction. Three visitors walk that list: Sizer
+// counts the encoded bytes and allocates nothing (the simulation transport
+// charges links with it instead of encoding), Writer appends to an
+// XdrEncoder, and Reader fills `self` from an XdrDecoder. A branch or loop
+// may test any field listed before it, because the Reader has decoded that
+// field by then. size_of(), encode() and decode() below are the entry points.
 //
 // The encoder is scatter-gather: primitives and small fields accumulate in
 // an owned buffer, while bulk payloads (READ/WRITE block data) are borrowed
@@ -15,9 +27,11 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "blob/blob.h"
@@ -120,6 +134,8 @@ class XdrDecoder {
   blob::BlobRef get_opaque_blob();
 
   [[nodiscard]] bool ok() const { return ok_; }
+  // Mark the input malformed (a field decoded to a value it may not take).
+  void fail() { ok_ = false; }
   [[nodiscard]] Status status() const {
     return ok_ ? Status::ok() : err(ErrCode::kBadXdr, "short or malformed XDR");
   }
@@ -138,11 +154,196 @@ class XdrDecoder {
 
 // Analytic size helpers (bytes on the wire).
 constexpr u64 size_u32() { return 4; }
-constexpr u64 size_u64() { return 8; }
-constexpr u64 size_bool() { return 4; }
 constexpr u64 pad4(u64 n) { return (n + 3) & ~u64{3}; }
 constexpr u64 size_opaque(u64 n) { return 4 + pad4(n); }
-constexpr u64 size_opaque_fixed(u64 n) { return pad4(n); }
 constexpr u64 size_string(u64 n) { return 4 + pad4(n); }
+
+// ------------------------------------------------------------ field lists --
+//
+// A field list calls `io(a, b, ...)` to visit fields by their C++ type: bool
+// as a bool word, 4-byte integers and enums as a word, 8-byte ones as a
+// hyper, std::string as a string, std::vector<E> as an XDR linked list
+// ((true, E)* false) and any other type through its own field list. Fields
+// whose wire form the type does not tell are named explicitly:
+//   io.payload(blob, count)  opaque<> of `count` bytes held in a BlobRef
+//   io.time(t)               SimTime as (seconds, nanoseconds) words
+//   io.optional(o, fn)       bool, then fn(*o, io) when present
+//   io.skip_word/hyper(v)    a field the model does not keep: written as v,
+//                            read and discarded
+//   io.expect_word(v)        written as v; any other value fails decoding
+//   io.flag(b, on)           bool carried as a word that is `on` when true
+//                            and 0 when false; decodes true only for `on`
+// Every visitor derives Visitor<Self> and supplies those plus the typed
+// primitives word, hyper, boolean, string and list.
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class E>
+inline constexpr bool kIsVector<std::vector<E>> = true;
+
+template <class Io>
+class Visitor {
+ public:
+  template <class... T>
+  constexpr void operator()(T&... v) { (visit_(v), ...); }
+
+ private:
+  template <class T>
+  constexpr void visit_(T& v) {
+    using U = std::remove_const_t<T>;
+    Io& io = static_cast<Io&>(*this);
+    if constexpr (std::is_same_v<U, bool>) {
+      io.boolean(v);
+    } else if constexpr (std::is_integral_v<U> || std::is_enum_v<U>) {
+      static_assert(sizeof(U) == 4 || sizeof(U) == 8, "XDR has no narrower integer");
+      if constexpr (sizeof(U) == 8) {
+        io.hyper(v);
+      } else {
+        io.word(v);
+      }
+    } else if constexpr (std::is_same_v<U, std::string>) {
+      io.string(v);
+    } else if constexpr (kIsVector<U>) {
+      io.list(v);
+    } else {
+      U::fields(v, io);
+    }
+  }
+};
+
+// Counts the encoded bytes; allocates nothing.
+class Sizer : public Visitor<Sizer> {
+ public:
+  [[nodiscard]] constexpr u64 bytes() const { return n_; }
+
+  constexpr void word(const auto&) { n_ += 4; }
+  constexpr void hyper(const auto&) { n_ += 8; }
+  constexpr void boolean(bool) { n_ += 4; }
+  constexpr void string(const std::string& s) { n_ += size_string(s.size()); }
+  template <class E>
+  constexpr void list(const std::vector<E>& v) {
+    for (const E& e : v) {
+      n_ += 4;
+      (*this)(e);
+    }
+    n_ += 4;
+  }
+  constexpr void payload(const blob::BlobRef&, u32 count) { n_ += size_opaque(count); }
+  constexpr void time(SimTime) { n_ += 8; }
+  template <class V, class F>
+  constexpr void optional(const std::optional<V>& o, F fn) {
+    n_ += 4;
+    if (o) fn(*o, *this);
+  }
+  constexpr void skip_word(u32) { n_ += 4; }
+  constexpr void skip_hyper(u64) { n_ += 8; }
+  constexpr void expect_word(u32) { n_ += 4; }
+  constexpr void flag(bool, u32) { n_ += 4; }
+
+ private:
+  u64 n_ = 0;
+};
+
+class Writer : public Visitor<Writer> {
+ public:
+  explicit Writer(XdrEncoder& enc) : enc_(enc) {}
+
+  void word(const auto& v) { enc_.put_u32(static_cast<u32>(v)); }
+  void hyper(const auto& v) { enc_.put_u64(static_cast<u64>(v)); }
+  void boolean(bool b) { enc_.put_bool(b); }
+  void string(const std::string& s) { enc_.put_string(s); }
+  template <class E>
+  void list(const std::vector<E>& v) {
+    for (const E& e : v) {
+      enc_.put_bool(true);
+      (*this)(e);
+    }
+    enc_.put_bool(false);
+  }
+  // By reference: the blob is read only if the flat wire image is
+  // materialized. A null blob stands for `count` zero bytes.
+  void payload(const blob::BlobRef& b, u32 count) {
+    enc_.put_blob(b ? b : blob::zero_ref(count), 0, count);
+  }
+  void time(SimTime t) {
+    enc_.put_u32(static_cast<u32>(t / kSecond));
+    enc_.put_u32(static_cast<u32>(t % kSecond));
+  }
+  template <class V, class F>
+  void optional(const std::optional<V>& o, F fn) {
+    enc_.put_bool(o.has_value());
+    if (o) fn(*o, *this);
+  }
+  void skip_word(u32 v) { enc_.put_u32(v); }
+  void skip_hyper(u64 v) { enc_.put_u64(v); }
+  void expect_word(u32 v) { enc_.put_u32(v); }
+  void flag(bool b, u32 on) { enc_.put_u32(b ? on : 0); }
+
+ private:
+  XdrEncoder& enc_;
+};
+
+class Reader : public Visitor<Reader> {
+ public:
+  explicit Reader(XdrDecoder& dec) : dec_(dec) {}
+
+  template <class T>
+  void word(T& v) { v = static_cast<T>(dec_.get_u32()); }
+  template <class T>
+  void hyper(T& v) { v = static_cast<T>(dec_.get_u64()); }
+  void boolean(bool& b) { b = dec_.get_bool(); }
+  void string(std::string& s) { s = dec_.get_string(); }
+  // Each entry costs at least one word of input, so a hostile list ends
+  // when the input does.
+  template <class E>
+  void list(std::vector<E>& v) {
+    while (dec_.get_bool()) (*this)(v.emplace_back());
+  }
+  void payload(blob::BlobRef& b, u32 count) {
+    b = dec_.get_opaque_blob();
+    if (dec_.ok() && b->size() != count) dec_.fail();
+  }
+  void time(SimTime& t) {
+    u64 sec = dec_.get_u32();
+    u64 nsec = dec_.get_u32();
+    t = static_cast<SimTime>(sec * kSecond + nsec);
+  }
+  template <class V, class F>
+  void optional(std::optional<V>& o, F fn) {
+    if (dec_.get_bool()) fn(o.emplace(), *this);
+  }
+  void skip_word(u32) { dec_.get_u32(); }
+  void skip_hyper(u64) { dec_.get_u64(); }
+  void expect_word(u32 v) {
+    if (dec_.get_u32() != v) dec_.fail();
+  }
+  void flag(bool& b, u32 on) { b = dec_.get_u32() == on; }
+
+ private:
+  XdrDecoder& dec_;
+};
+
+template <class T>
+constexpr u64 size_of(const T& v) {
+  Sizer s;
+  s(v);
+  return s.bytes();
+}
+
+template <class T>
+void encode(const T& v, XdrEncoder& enc) {
+  Writer w(enc);
+  w(v);
+}
+
+// Decodes one T; the decoder may hold more input after it.
+template <class T>
+Result<T> decode(XdrDecoder& dec) {
+  T v;
+  Reader r(dec);
+  r(v);
+  if (!dec.ok()) return dec.status();
+  return v;
+}
 
 }  // namespace gvfs::xdr

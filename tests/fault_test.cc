@@ -1162,7 +1162,6 @@ TEST(WritebackDrain, PrefetchDoesNotResurrectFlushQueuedBlock) {
   pcfg.enable_meta = false;
   pcfg.async_writeback = true;
   pcfg.prefetch_depth = 4;
-  pcfg.prefetch_trigger = 2;
   proxy::GvfsProxy proxy(pcfg, slow);
   proxy.attach_block_cache(cache);
   rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);

@@ -373,6 +373,26 @@ TEST(NfsClientServer, ServerCountsProcedures) {
   EXPECT_GT(f.server.total_calls(), 0u);
 }
 
+// Regression: the server counted MOUNT calls under the NFS procedure with
+// the same number, so each MNT read as a GETATTR and each UMNT as a LOOKUP.
+TEST(NfsClientServer, ServerProcCountsMatchClient) {
+  Fixture f;
+  ASSERT_TRUE(f.fs.put_file("/exports/r", blob::make_zero(64_KiB)).is_ok());
+  auto client = f.make_client();
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_OK(client->mount(p, "/exports"));
+    ASSERT_OK(client->read(p, "/r", 0, 64_KiB));
+    ASSERT_OK(client->write(p, "/r", 8_KiB, blob::make_synthetic(3, 16_KiB, 0, 2.0)));
+    ASSERT_OK(client->flush(p));
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  for (u32 n = 0; n < kNfsProcs.size(); ++n) {
+    auto proc = static_cast<Proc>(n);
+    EXPECT_EQ(f.server.calls(proc), client->rpcs_sent(proc)) << proc_name(proc);
+  }
+  EXPECT_GT(client->rpcs_sent(Proc::kWrite), 0u);
+}
+
 TEST(NfsClientServer, WanLatencyDominatesColdReads) {
   // Sanity-check the scenario math: 8 KiB reads over a 40 ms RTT pipe come
   // in at ~22 reads/s, the effect behind the paper's 2060 s plain-NFS clone.

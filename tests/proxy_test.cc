@@ -522,31 +522,6 @@ TEST(AsyncWriteback, EvictionEnqueuesInsteadOfBlockingAndFlusherDrains) {
             blob::content_hash(*content));
 }
 
-TEST(AsyncWriteback, HonestCommitFlushesStagedBlocksWhenAbsorptionOff) {
-  ProxyFixture f;
-  cache::ProxyDiskCache cache(f.client_disk, ProxyFixture::small_cache_cfg());
-  ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
-  pcfg.absorb_commit = false;
-  GvfsProxy proxy(pcfg, f.tunnel);
-  proxy.attach_block_cache(cache);
-  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
-  nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
-
-  auto content = blob::make_synthetic(23, 64_KiB, 0, 2.0);
-  ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(64_KiB)).is_ok());
-  f.kernel.run_process("t", [&](sim::Process& p) {
-    ASSERT_OK(client.mount(p, "/exports"));
-    ASSERT_OK(client.write(p, "/f", 0, content));
-    // flush() sends WRITE (absorbed dirty) + COMMIT; with absorption off the
-    // COMMIT must push the staged dirty blocks upstream before forwarding.
-    ASSERT_OK(client.flush(p));
-    EXPECT_EQ(cache.dirty_blocks(), 0u);
-  });
-  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
-  EXPECT_EQ(blob::content_hash(**f.server_fs.get_file("/exports/f")),
-            blob::content_hash(*content));
-}
-
 TEST(SingleFlight, ConcurrentSameBlockMissesShareOneUpstreamFetch) {
   ProxyFixture f;
   // Shared cache proxy (every proxy coalesces misses); two downstream
@@ -629,37 +604,38 @@ TEST(Proxy, StatsCountersConsistent) {
 // attr entry for every file handle it ever answered, so a namespace walk
 // grew attr_cache_ without limit (a proxy fronting a big image tree leaked
 // an entry per file for the life of the mount). The cache is now a bounded
-// LRU (attr_cache_entries); walking far more files than the bound must top
-// out at the bound, evict, and still answer correctly for evicted entries.
+// LRU (kAttrCacheEntries); walking more files than the bound must top out
+// at the bound, evict, and still answer correctly for evicted entries.
 TEST(Proxy, AttrCacheIsBoundedLruUnderNamespaceWalk) {
   ProxyFixture f;
   ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
   pcfg.enable_meta = false;
-  pcfg.attr_cache_entries = 64;
   GvfsProxy proxy(pcfg, f.tunnel);
   rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
   nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
 
-  for (int i = 0; i < 300; ++i) {
+  constexpr u32 kBound = GvfsProxy::kAttrCacheEntries;
+  constexpr int kFiles = kBound + 300;
+  for (int i = 0; i < kFiles; ++i) {
     ASSERT_TRUE(
         f.server_fs.put_file("/exports/img" + std::to_string(i), blob::make_zero(1_KiB))
             .is_ok());
   }
   f.kernel.run_process("t", [&](sim::Process& p) {
     ASSERT_OK(client.mount(p, "/exports"));
-    for (int i = 0; i < 300; ++i) {
+    for (int i = 0; i < kFiles; ++i) {
       auto a = client.stat(p, "/img" + std::to_string(i));
       ASSERT_OK(a);
       EXPECT_EQ(a->size, 1_KiB);
     }
-    EXPECT_LE(proxy.attr_cache_size(), 64u);
+    EXPECT_LE(proxy.attr_cache_size(), kBound);
     EXPECT_GT(proxy.attr_evictions(), 0u);
     // An evicted early entry still answers correctly (re-fetched upstream).
     client.drop_caches();
     auto again = client.stat(p, "/img0");
     ASSERT_OK(again);
     EXPECT_EQ(again->size, 1_KiB);
-    EXPECT_LE(proxy.attr_cache_size(), 64u);
+    EXPECT_LE(proxy.attr_cache_size(), kBound);
   });
   EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
 }
