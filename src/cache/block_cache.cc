@@ -539,12 +539,6 @@ Status ProxyDiskCache::write_back_file(sim::Process& p, u64 file_key) {
   return Status::ok();
 }
 
-Status ProxyDiskCache::flush_and_invalidate(sim::Process& p) {
-  GVFS_RETURN_IF_ERROR(write_back_all(p));
-  invalidate_all();
-  return Status::ok();
-}
-
 void ProxyDiskCache::invalidate_all() {
   // Drop whole chunks: releasing the storage also returns the testbed to
   // its pre-warm footprint after a read-only session ends. Fibers blocked in

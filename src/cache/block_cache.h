@@ -98,7 +98,6 @@ class ProxyDiskCache {
   // Write back only one file's dirty blocks (honest COMMIT: O(file-resident)
   // walk of the per-file frame list, blocks stay cached clean).
   Status write_back_file(sim::Process& p, u64 file_key);
-  Status flush_and_invalidate(sim::Process& p);
   void invalidate_all();  // drop without writeback (read-only session end)
   // Drop one file's blocks from `from_block` on, without writeback.
   void invalidate_file(u64 file_key, u64 from_block = 0);

@@ -12,11 +12,13 @@
 // nfsd/CPU/disk — which is all Table 1's parallel cloning needs.
 //
 // Every non-local topology is built from one list of origin image servers:
-// the paper's single server, or origin_cluster's N replicated shards. Each
-// node reaches each origin through one channel stack (tunnel -> faults ->
-// retry -> compression), and talks to a ShardRouter over those stacks only
-// when there is more than one origin. shared_l2_cache puts the LAN
-// second-level proxy (WAN-S3) in front of a single origin.
+// the paper's single server, or origin_cluster's N replicated shards. A
+// client of the origins — each node, or the LAN second-level proxy
+// (shared_l2_cache, WAN-S3) that the nodes then reach over the LAN — gets one
+// channel stack per origin (tunnel -> faults -> retry -> compression), and
+// talks to a ShardRouter over those stacks only when there is more than one
+// origin. Fault injection, retransmission and compression sit only on hops
+// that end at an origin; a node's hop to the L2 is a bare tunnel.
 #pragma once
 
 #include <memory>
@@ -62,10 +64,10 @@ struct TestbedOptions {
   cache::WritePolicy write_policy = cache::WritePolicy::kWriteBack;
   bool enable_meta = true;          // client proxies honour meta-data files
   bool generate_image_meta = true;  // install_image() drops .vmss meta-data
-  // WAN-S3: a LAN server's second-level proxy caches the single origin for
-  // every cached compute node (block cache + compressed-image cache). It
-  // shares read-only data: its block cache is write-through, so writes pass
-  // on to the origin. Ignored with more than one origin.
+  // WAN-S3: a LAN server's second-level proxy caches the origins for every
+  // cached compute node (block cache + compressed-image cache). It shares
+  // read-only data: its block cache is write-through, so writes pass on to
+  // the origins.
   bool shared_l2_cache = false;
   // Client proxies batch dirty-block write-back: pipelined UNSTABLE WRITE
   // bursts + one COMMIT per file via a background flusher, instead of one
@@ -92,7 +94,6 @@ struct TestbedOptions {
   // these accordingly.
   u64 client_page_cache_bytes = 512_MiB;
   u64 local_page_cache_bytes = 640_MiB;
-  std::string export_path = "/exports/images";
 
   // ---- sharded, replicated origin cluster (default off) --------------------
   // Build origin_shards origins instead of one. With more than one, each
@@ -207,7 +208,8 @@ class Testbed {
   [[nodiscard]] sim::Link* wan_down() { return wan_down_.get(); }
   // Fault-injection plumbing (null when enable_fault_injection is false).
   [[nodiscard]] sim::FaultInjector* fault_injector() { return faults_.get(); }
-  // The retry layer of the node's first upstream stack.
+  // The retry layer of the node's first upstream stack (null when that hop
+  // has none: no fault injection, or the hop ends at the L2).
   [[nodiscard]] rpc::RetryChannel* retry_channel(int node = 0);
 
   // ---- metrics & tracing ---------------------------------------------------
@@ -227,7 +229,16 @@ class Testbed {
  private:
   struct Node;
   struct Origin;        // fs + disk + cpu + NfsServer + loopback + server proxy
-  struct ChannelStack;  // one upstream hop of a node, see make_stack_()
+  struct ChannelStack;  // one upstream hop, see make_stack_()
+  struct Upstream;      // a client's stacks and router, see build_upstream_()
+  class OriginFiles;    // the origins' file channel
+
+  // The links and cipher one hop's tunnel crosses.
+  struct Hop {
+    sim::Link* up = nullptr;
+    sim::Link* down = nullptr;
+    ssh::CipherSpec cipher;
+  };
 
   // Wiring shared by every compute node, resolved once before the node loop:
   // node construction then only copies small config structs and allocates
@@ -235,14 +246,11 @@ class Testbed {
   // scenario topology N times.
   struct SharedNodeConfig {
     bool cached = false;
-    bool compress = false;  // node end of the compressed WAN hop
     nfs::NfsClientConfig client;
     cache::BlockCacheConfig block_cache;
     proxy::ProxyConfig proxy;  // per-node name filled in at build time
     vfs::LocalSessionConfig local;
-    sim::Link* tun_up = nullptr;
-    sim::Link* tun_down = nullptr;
-    ssh::CipherSpec tun_cipher;
+    Hop hop;  // toward the L2 or the origins
     // What each upstream stack targets: the L2 proxy, or every origin's
     // entry handler (its NfsServer under PlainNfs).
     std::vector<rpc::RpcHandler*> upstreams;
@@ -254,14 +262,23 @@ class Testbed {
   void build_lan_cache_node_();
   void resolve_shared_node_config_();
   std::unique_ptr<Node> build_node_(int index);
-  // One hop of a node toward `target`: the transport (an SSH tunnel, or
-  // PlainNfs's direct link), then with fault injection FaultyChannel(origin)
+  // One hop toward `target` over `hop`: the transport (an SSH tunnel, or
+  // PlainNfs's direct link), then — unless `target` is the L2 proxy, the one
+  // hop that ends at no origin — with fault injection FaultyChannel(origin)
   // and RetryChannel, then with wire compression the client-end
   // CompressChannel. A `reverse` stack is a lease-recall callback path: the
-  // link pair swapped, bounded retransmission, no compression, not traced.
-  // A non-empty `tag` registers the layers' metrics under it.
-  ChannelStack make_stack_(rpc::RpcHandler& target, int origin, bool reverse,
-                           const std::string& tag);
+  // link pair swapped, bounded retransmission, no compression, not traced. A
+  // non-empty `tag` registers the layers' metrics under it.
+  ChannelStack make_stack_(rpc::RpcHandler& target, const Hop& hop, int origin,
+                           bool reverse, const std::string& tag);
+  // A client's upstream over `hop`: one stack per target (origin j's entry,
+  // or the L2 proxy), and a ShardRouter named `name`-router over them when
+  // there is more than one. With `with_metrics`, the layers register under
+  // `name`.
+  Upstream build_upstream_(const std::vector<rpc::RpcHandler*>& targets, const Hop& hop,
+                           const std::string& name, bool with_metrics);
+  // Origins holding origin file `id`'s data: the replicas of its shard.
+  [[nodiscard]] const std::vector<u32>& file_holders_(vfs::FileId id) const;
   // The single sanctioned NfsServer construction site in topology code
   // (enforced by the gvfs-lint cluster-factory rule), so every origin gets
   // identical server config.
@@ -285,8 +302,10 @@ class Testbed {
 
   // ---- origin image servers ------------------------------------------------
   std::vector<std::unique_ptr<Origin>> origins_;
-  // Meta-data file channel, served from origin 0.
-  std::unique_ptr<meta::ServerFileChannel> server_endpoint_;
+  // Where the origins keep each file (ShardRouter's rule; one origin holds
+  // everything).
+  std::unique_ptr<proxy::ShardMap> placement_;
+  std::unique_ptr<OriginFiles> files_;
 
   // ---- shared network ------------------------------------------------------
   std::unique_ptr<sim::Link> wan_up_, wan_down_;
@@ -300,11 +319,8 @@ class Testbed {
   std::unique_ptr<ssh::Scp> lan_scp_up_;  // LAN node -> origin over WAN
   std::unique_ptr<proxy::CachingFileEndpoint> lan_endpoint_;
   std::unique_ptr<cache::ProxyDiskCache> lan_block_cache_;
-  std::unique_ptr<ssh::SshTunnel> lan_to_origin_;      // L2 proxy -> origin
-  // wire_compression: the L2 -> origin tunnel is the WAN hop, so this end
-  // of the compression pair sits here (the origin's handler is the other).
-  std::unique_ptr<rpc::CompressChannel> lan_compress_channel_;
-  std::unique_ptr<proxy::GvfsProxy> lan_proxy_;        // L2 block-cache proxy
+  std::unique_ptr<Upstream> lan_upstream_;       // L2 proxy -> origins (WAN)
+  std::unique_ptr<proxy::GvfsProxy> lan_proxy_;  // L2 block-cache proxy
 
   SharedNodeConfig node_cfg_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -13,7 +13,7 @@ NfsClient::NfsClient(rpc::RpcChannel& channel, rpc::Credential cred,
     : channel_(channel),
       cred_(std::move(cred)),
       cfg_(cfg),
-      pages_(cfg.buffer_cache_bytes, cfg.page_size) {
+      pages_(cfg.buffer_cache_bytes, kPageSize) {
   // Dirty page evicted under memory pressure: asynchronous kernel writeback
   // becomes a synchronous unstable WRITE in our blocking model.
   pages_.set_writeback([this](sim::Process& p, u64 file_key, u64 page,
@@ -22,7 +22,7 @@ NfsClient::NfsClient(rpc::RpcChannel& channel, rpc::Credential cred,
     if (it == key_to_fh_.end() || !data || data->size() == 0) return;
     auto args = std::make_shared<WriteArgs>();
     args->fh = it->second;
-    args->offset = page * cfg_.page_size;
+    args->offset = page * kPageSize;
     args->count = static_cast<u32>(data->size());
     args->stable = StableHow::kUnstable;
     args->data = data;
@@ -33,7 +33,8 @@ NfsClient::NfsClient(rpc::RpcChannel& channel, rpc::Credential cred,
 
 // ----------------------------------------------------------- RPC plumbing --
 
-rpc::RpcCall NfsClient::make_call_(Proc proc, rpc::MessagePtr args) {
+Result<rpc::MessagePtr> NfsClient::call_(sim::Process& p, Proc proc,
+                                         rpc::MessagePtr args) {
   rpc::RpcCall c;
   c.xid = next_xid_++;
   c.prog = rpc::kNfsProgram;
@@ -41,12 +42,6 @@ rpc::RpcCall NfsClient::make_call_(Proc proc, rpc::MessagePtr args) {
   c.proc = static_cast<u32>(proc);
   c.cred = cred_;
   c.args = std::move(args);
-  return c;
-}
-
-Result<rpc::MessagePtr> NfsClient::call_(sim::Process& p, Proc proc,
-                                         rpc::MessagePtr args) {
-  rpc::RpcCall c = make_call_(proc, std::move(args));
   rpcs_sent_.inc();
   ++proc_counts_[c.proc];
   if (tracer_) tracer_->begin(&p, c.xid, c.proc, proc_name(proc), p.now());
@@ -95,7 +90,6 @@ void NfsClient::drop_caches() {
   attr_cache_.clear();
   dentry_cache_.clear();
   path_cache_.clear();
-  last_block_.clear();
 }
 
 // ------------------------------------------------------------------ mount --
@@ -222,63 +216,22 @@ Result<vfs::Attr> NfsClient::stat(sim::Process& p, const std::string& path) {
 // ------------------------------------------------------------------- read --
 
 Status NfsClient::fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 page) {
-  u64 pages_per_block = std::max<u64>(1, cfg_.rsize / cfg_.page_size);
-  u64 block = page / pages_per_block;
-  u64 key = fh.key();
-
-  auto lb = last_block_.find(key);
-  bool sequential = lb != last_block_.end() && block == lb->second + 1;
-  last_block_[key] = block;
-
-  u32 batch = sequential ? std::max<u32>(1, cfg_.readahead_blocks) : 1;
-  std::vector<rpc::RpcCall> calls;
-  for (u32 i = 0; i < batch; ++i) {
-    u64 start = (block + i) * cfg_.rsize;
-    if (start >= file_size && i > 0) break;
-    auto args = std::make_shared<ReadArgs>();
-    args->fh = fh;
-    args->offset = start;
-    args->count = static_cast<u32>(
-        std::min<u64>(cfg_.rsize, file_size > start ? file_size - start : 1));
-    calls.push_back(make_call_(Proc::kRead, args));
-  }
-  rpcs_sent_.inc(calls.size());
-  proc_counts_[static_cast<u32>(Proc::kRead)] += calls.size();
-  // One span covers the whole (possibly pipelined) READ burst, keyed on the
-  // first xid; deeper layers annotate it per block fetched.
-  if (tracer_) {
-    tracer_->begin(&p, calls[0].xid, calls[0].proc,
-                   calls.size() == 1 ? "READ" : "READ_BATCH", p.now());
-  }
-  std::vector<rpc::RpcReply> replies =
-      calls.size() == 1 ? std::vector<rpc::RpcReply>{channel_.call(p, calls[0])}
-                        : channel_.call_pipelined(p, calls);
-  if (tracer_) {
-    bool all_ok = true;
-    for (const rpc::RpcReply& r : replies) all_ok = all_ok && r.status.is_ok();
-    tracer_->end(&p, p.now(), all_ok);
-  }
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    if (!replies[i].status.is_ok()) return replies[i].status;
-    if (replies[i].xid != calls[i].xid) {
-      xid_mismatches_.inc();
-      return err(ErrCode::kBadXdr, "read reply xid mismatch");
-    }
-    auto res = rpc::message_cast<ReadRes>(replies[i].result);
-    if (!res) return err(ErrCode::kBadXdr, "read result");
-    if (res->status != NfsStat::kOk) return err(res->status, "read");
-    bytes_read_wire_.inc(res->count);
-    u64 start = (block + i) * cfg_.rsize;
-    if (res->attr.attr) cache_attr_(fh, *res->attr.attr, p);
-    // Split the block into cache pages.
-    u64 got = res->count;
-    for (u64 off = 0; off < got; off += cfg_.page_size) {
-      u64 n = std::min<u64>(cfg_.page_size, got - off);
-      blob::BlobRef pg =
-          std::make_shared<blob::SliceBlob>(res->data, off, n);
-      pages_.insert(p, key, (start + off) / cfg_.page_size, std::move(pg),
-                    /*dirty=*/false);
-    }
+  u64 start = page / std::max<u64>(1, cfg_.rsize / kPageSize) * cfg_.rsize;
+  auto args = std::make_shared<ReadArgs>();
+  args->fh = fh;
+  args->offset = start;
+  args->count = static_cast<u32>(
+      std::min<u64>(cfg_.rsize, file_size > start ? file_size - start : 1));
+  GVFS_ASSIGN_OR_RETURN(auto res, call_as_<ReadRes>(p, Proc::kRead, std::move(args)));
+  if (res->status != NfsStat::kOk) return err(res->status, "read");
+  bytes_read_wire_.inc(res->count);
+  if (res->attr.attr) cache_attr_(fh, *res->attr.attr, p);
+  // Split the block into cache pages.
+  const u64 key = fh.key();
+  for (u64 off = 0; off < res->count; off += kPageSize) {
+    u64 n = std::min<u64>(kPageSize, res->count - off);
+    blob::BlobRef pg = std::make_shared<blob::SliceBlob>(res->data, off, n);
+    pages_.insert(p, key, (start + off) / kPageSize, std::move(pg), /*dirty=*/false);
   }
   return Status::ok();
 }
@@ -294,8 +247,8 @@ Result<blob::BlobRef> NfsClient::read(sim::Process& p, const std::string& path,
   if (offset >= size || len == 0) return blob::BlobRef(blob::zero_ref(0));
   len = std::min<u64>(len, size - offset);
 
-  u64 first = offset / cfg_.page_size;
-  u64 last = (offset + len - 1) / cfg_.page_size;
+  u64 first = offset / kPageSize;
+  u64 last = (offset + len - 1) / kPageSize;
   if (first == last) {
     // Single-page read: return the cached page (or a slice of it) directly
     // instead of copying through an extent map.
@@ -306,7 +259,7 @@ Result<blob::BlobRef> NfsClient::read(sim::Process& p, const std::string& path,
       if (!cached) return err(ErrCode::kIo, "page missing after fill");
     }
     const blob::BlobRef& data = *cached;
-    u64 pg_start = first * cfg_.page_size;
+    u64 pg_start = first * kPageSize;
     u64 off_in_pg = offset - pg_start;
     if (data->size() >= off_in_pg + len) {
       if (off_in_pg == 0 && data->size() == len) return *cached;
@@ -324,7 +277,7 @@ Result<blob::BlobRef> NfsClient::read(sim::Process& p, const std::string& path,
       if (!cached) return err(ErrCode::kIo, "page missing after fill");
     }
     const blob::BlobRef& data = *cached;
-    u64 pg_start = pg * cfg_.page_size;
+    u64 pg_start = pg * kPageSize;
     u64 lo = std::max(pg_start, offset);
     u64 hi = std::min({pg_start + data->size(), offset + len});
     if (lo < hi) {
@@ -346,13 +299,13 @@ Status NfsClient::write(sim::Process& p, const std::string& path, u64 offset,
   u64 len = data->size();
   u64 known = std::max(a.size, file_sizes_.count(key) ? file_sizes_[key] : 0);
 
-  u64 first = offset / cfg_.page_size;
-  u64 last = (offset + len - 1) / cfg_.page_size;
+  u64 first = offset / kPageSize;
+  u64 last = (offset + len - 1) / kPageSize;
   for (u64 pg = first; pg <= last; ++pg) {
-    u64 pg_start = pg * cfg_.page_size;
+    u64 pg_start = pg * kPageSize;
     u64 lo = std::max(pg_start, offset);
-    u64 hi = std::min(pg_start + cfg_.page_size, offset + len);
-    bool full_page = lo == pg_start && (hi - lo == cfg_.page_size);
+    u64 hi = std::min(pg_start + kPageSize, offset + len);
+    bool full_page = lo == pg_start && (hi - lo == kPageSize);
     blob::BlobRef page_data;
     if (full_page) {
       page_data = std::make_shared<blob::SliceBlob>(data, lo - offset, hi - lo);
@@ -367,7 +320,7 @@ Status NfsClient::write(sim::Process& p, const std::string& path, u64 offset,
       }
       if (cached && *cached) compose.write_blob(0, *cached, 0, (*cached)->size());
       u64 pg_len = std::max<u64>(hi - pg_start,
-                                 std::min<u64>(cfg_.page_size,
+                                 std::min<u64>(kPageSize,
                                                known > pg_start ? known - pg_start : 0));
       compose.truncate(std::max<u64>(pg_len, hi - pg_start));
       compose.write_blob(lo - pg_start, data, lo - offset, hi - lo);
@@ -380,7 +333,7 @@ Status NfsClient::write(sim::Process& p, const std::string& path, u64 offset,
   // Bounded staging: past the dirty limit the client degrades to synchronous
   // writeback (the write-through behaviour the paper attributes to kernel
   // clients in WANs).
-  if (pages_.dirty_pages() * cfg_.page_size > cfg_.dirty_limit_bytes) {
+  if (pages_.dirty_pages() * kPageSize > cfg_.dirty_limit_bytes) {
     GVFS_RETURN_IF_ERROR(flush_file_(p, fh));
   }
   return Status::ok();
@@ -394,7 +347,7 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
   // Coalesce contiguous dirty pages into wsize runs, aligned to wsize block
   // boundaries so downstream caches see whole-block writes (a misaligned run
   // would straddle two proxy cache blocks and force read-merge round trips).
-  u64 pages_per_wsize = std::max<u64>(1, cfg_.wsize / cfg_.page_size);
+  u64 pages_per_wsize = std::max<u64>(1, cfg_.wsize / kPageSize);
   std::size_t i = 0;
   u64 flushed = 0;
   // Pages are marked clean only if they still hold the data written: another
@@ -411,13 +364,13 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
     blob::ExtentStore run;
     u64 run_len = 0;
     while (i < dirty.size() && dirty[i].first == run_first + (i - run_begin) &&
-           dirty[i].first < run_limit && run_len + cfg_.page_size <= cfg_.wsize) {
+           dirty[i].first < run_limit && run_len + kPageSize <= cfg_.wsize) {
       const blob::BlobRef& d = dirty[i].second;
       u64 n = d ? d->size() : 0;
       if (n > 0) run.write_blob(run_len, d, 0, n);
       run_len += n;
       ++i;
-      if (n < cfg_.page_size) break;  // short (EOF) page ends the run
+      if (n < kPageSize) break;  // short (EOF) page ends the run
     }
     if (run_len == 0) {
       mark_run_clean(run_begin, i);
@@ -425,7 +378,7 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
     }
     auto args = std::make_shared<WriteArgs>();
     args->fh = fh;
-    args->offset = run_first * cfg_.page_size;
+    args->offset = run_first * kPageSize;
     args->count = static_cast<u32>(run_len);
     args->stable = StableHow::kUnstable;
     args->data = run.snapshot();

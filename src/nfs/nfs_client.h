@@ -20,18 +20,16 @@ namespace gvfs::nfs {
 struct NfsClientConfig {
   u32 rsize = 8_KiB;   // era-typical kernel default; GVFS negotiates 32 KiB
   u32 wsize = 8_KiB;
-  u32 page_size = 4_KiB;
   u64 buffer_cache_bytes = 512_MiB;
   u64 dirty_limit_bytes = 16_MiB;  // staged writes before forced writeback
   SimDuration attr_cache_ttl = 30 * kSecond;
   SimDuration per_op_cpu = 40 * kMicrosecond;  // syscall + RPC client CPU
-  // Sequential read-ahead depth in rsize blocks (1 = fully synchronous,
-  // which matches the VMM's blocking read pattern the paper measured).
-  u32 readahead_blocks = 1;
 };
 
 class NfsClient final : public vfs::FsSession {
  public:
+  static constexpr u32 kPageSize = 4_KiB;  // page-cache granularity
+
   NfsClient(rpc::RpcChannel& channel, rpc::Credential cred, NfsClientConfig cfg = {});
 
   // MOUNT the export and negotiate transfer sizes via FSINFO.
@@ -91,7 +89,6 @@ class NfsClient final : public vfs::FsSession {
   };
 
   // RPC plumbing.
-  rpc::RpcCall make_call_(Proc proc, rpc::MessagePtr args);
   Result<rpc::MessagePtr> call_(sim::Process& p, Proc proc, rpc::MessagePtr args);
   template <typename Res>
   Result<std::shared_ptr<const Res>> call_as_(sim::Process& p, Proc proc,
@@ -104,7 +101,9 @@ class NfsClient final : public vfs::FsSession {
   void cache_attr_(const Fh& fh, const vfs::Attr& a, sim::Process& p);
   void invalidate_path_(const std::string& path);
 
-  // Fetch the rsize block containing `page` into the page cache.
+  // Fetch the rsize block containing `page` into the page cache with one
+  // synchronous READ (no read-ahead: the VMM's blocking read pattern the
+  // paper measured).
   Status fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 page);
   // Flush dirty pages of one file as wsize WRITE runs + COMMIT.
   Status flush_file_(sim::Process& p, const Fh& fh);
@@ -118,7 +117,6 @@ class NfsClient final : public vfs::FsSession {
   std::unordered_map<std::string, Fh> dentry_cache_;          // "dirkey/name"
   std::unordered_map<std::string, Fh> path_cache_;            // full path -> fh
   std::unordered_map<u64, u64> file_sizes_;  // fh.key -> max known size (incl. staged)
-  std::unordered_map<u64, u64> last_block_;  // fh.key -> last block (sequential detect)
   std::unordered_map<u64, Fh> key_to_fh_;
   u32 next_xid_ = 1;
   metrics::Counter rpcs_sent_;

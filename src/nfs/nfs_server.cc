@@ -10,6 +10,9 @@ namespace gvfs::nfs {
 
 namespace {
 
+constexpr u32 kPageSize = 8_KiB;         // server page-cache granularity
+constexpr u64 kReadaheadBytes = 64_KiB;  // disk read per page-cache miss
+
 // Map a Result/Status error into an NFS status word for a result body.
 NfsStat to_nfsstat(const Status& st) { return st.code(); }
 
@@ -26,12 +29,12 @@ NfsServer::NfsServer(sim::SimKernel& kernel, vfs::MemFs& fs, sim::DiskModel& dis
       fs_(fs),
       disk_(disk),
       cfg_(cfg),
-      page_cache_(cfg.buffer_cache_bytes, cfg.page_size),
+      page_cache_(cfg.buffer_cache_bytes, kPageSize),
       nfsd_(kernel, cfg.nfsd_threads),
       write_verifier_(0x6776667376657266ULL) {
   page_cache_.set_writeback(
       [this](sim::Process& p, u64, u64, const blob::BlobRef& data) {
-        disk_.access(p, data ? data->size() : cfg_.page_size,
+        disk_.access(p, data ? data->size() : kPageSize,
                      sim::Locality::kSequential);
       });
 }
@@ -65,17 +68,17 @@ PostOpAttr NfsServer::post_attr_(vfs::FileId id) {
 void NfsServer::charge_read_(sim::Process& p, vfs::FileId id, u64 file_size,
                              u64 offset, u64 len) {
   if (len == 0) return;
-  u64 first = offset / cfg_.page_size;
-  u64 last = (offset + len - 1) / cfg_.page_size;
-  u64 pages_per_cluster = std::max<u64>(1, cfg_.readahead_bytes / cfg_.page_size);
+  u64 first = offset / kPageSize;
+  u64 last = (offset + len - 1) / kPageSize;
+  u64 pages_per_cluster = std::max<u64>(1, kReadaheadBytes / kPageSize);
   for (u64 pg = first; pg <= last; ++pg) {
     if (page_cache_.lookup(id, pg)) continue;
     // Miss: one disk op for the readahead cluster containing this page.
     u64 cluster_first = pg - (pg % pages_per_cluster);
-    u64 start = cluster_first * cfg_.page_size;
+    u64 start = cluster_first * kPageSize;
     u64 bytes = file_size > start
-                    ? std::min<u64>(cfg_.readahead_bytes, file_size - start)
-                    : cfg_.page_size;
+                    ? std::min<u64>(kReadaheadBytes, file_size - start)
+                    : kPageSize;
     auto it = last_read_page_.find(id);
     sim::Locality loc =
         (it != last_read_page_.end() &&
@@ -86,9 +89,9 @@ void NfsServer::charge_read_(sim::Process& p, vfs::FileId id, u64 file_size,
     disk_.access(p, bytes, loc);
     for (u64 i = 0; i < pages_per_cluster; ++i) {
       u64 cp = cluster_first + i;
-      u64 off = cp * cfg_.page_size;
+      u64 off = cp * kPageSize;
       if (off >= file_size && cp != pg) continue;
-      u64 n = off < file_size ? std::min<u64>(cfg_.page_size, file_size - off) : 0;
+      u64 n = off < file_size ? std::min<u64>(kPageSize, file_size - off) : 0;
       auto data = n > 0 ? fs_.read_ref(id, off, n) : Result<blob::BlobRef>(blob::zero_ref(0));
       page_cache_.insert(p, id, cp, data.is_ok() ? *data : blob::zero_ref(0),
                          /*dirty=*/false);
@@ -140,7 +143,7 @@ rpc::RpcReply NfsServer::handle(sim::Process& p, const rpc::RpcCall& call) {
   if (cfg_.per_op_cpu > 0) p.delay(cfg_.per_op_cpu);
 
   rpc::RpcReply reply;
-  if (cfg_.require_auth_unix && call.prog == rpc::kNfsProgram &&
+  if (call.prog == rpc::kNfsProgram &&
       call.cred.flavor != rpc::AuthFlavor::kUnix) {
     reply = rpc::make_error_reply(call, err(ErrCode::kAuthError, "AUTH_UNIX required"));
   } else if (authorizer_ && !authorizer_(call.cred)) {

@@ -27,10 +27,7 @@ struct NfsServerConfig {
   u32 max_io = kMaxBlockSize;                  // rtmax/wtmax advertised
   SimDuration per_op_cpu = 80 * kMicrosecond;  // service CPU per RPC
   u64 buffer_cache_bytes = 700_MiB;            // page cache share of RAM
-  u32 page_size = 8_KiB;
-  u64 readahead_bytes = 64_KiB;
   int nfsd_threads = 8;
-  bool require_auth_unix = true;
   // Duplicate request cache: retransmitted non-idempotent ops (WRITE,
   // CREATE, REMOVE, ...) get their cached reply instead of re-executing
   // (RFC 1813 §4; Juszczak '89). 0 disables. Lost with server volatile
@@ -156,7 +153,6 @@ class NfsServer final : public rpc::RpcHandler {
   void roll_write_verifier() {
     write_verifier_ = write_verifier_ * 0x9e3779b97f4a7c15ULL + 1;
   }
-  [[nodiscard]] u64 write_verifier() const { return write_verifier_; }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "total_calls", &total_calls_);

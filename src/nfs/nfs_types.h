@@ -524,10 +524,6 @@ struct CommitRes final : rpc::XdrMessage<CommitRes> {
 
 enum class LeaseMode : u32 { kRead = 0, kWrite = 1 };
 
-constexpr const char* lease_mode_name(LeaseMode m) {
-  return m == LeaseMode::kWrite ? "write" : "read";
-}
-
 // Callback program number: a private-use slot well clear of the IANA RPC
 // programs we model (100003/100005).
 constexpr u32 kLeaseCallbackProgram = 200103;

@@ -26,24 +26,48 @@ double to_ms(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kMillisecond);
 }
 
+bool is_proc(const rpc::RpcCall& call, nfs::Proc proc) {
+  return call.prog == rpc::kNfsProgram && static_cast<nfs::Proc>(call.proc) == proc;
+}
+
+nfs::Route route_of(const rpc::RpcCall& call) {
+  return call.prog == rpc::kNfsProgram ? nfs::proc_info(call.proc).route
+                                       : nfs::Route::kAnyOrigin;
+}
+
+// A replica's write verifier, from a successful Res (WriteRes or CommitRes).
+template <typename Res>
+u64 verifier_of(const rpc::RpcReply& reply) {
+  auto res = rpc::message_cast<Res>(reply.result);
+  return (res && res->status == ErrCode::kOk) ? res->verifier : 0;
+}
+
+// `reply` with its verifier replaced by `combined`, if it is a successful Res.
+template <typename Res>
+rpc::RpcReply with_verifier(const rpc::RpcCall& call, rpc::RpcReply reply, u64 combined) {
+  auto res = rpc::message_cast<Res>(reply.result);
+  if (!res || res->status != ErrCode::kOk) return reply;
+  auto out = std::make_shared<Res>(*res);
+  out->verifier = combined;
+  return rpc::make_reply(call, out);
+}
+
 }  // namespace
+
+ShardMap::ShardMap(u32 origins, u32 replicas) : sets_(origins) {
+  replicas = std::clamp<u32>(replicas, 1, origins);
+  for (u32 s = 0; s < origins; ++s) {
+    for (u32 k = 0; k < replicas; ++k) sets_[s].push_back((s + k) % origins);
+  }
+}
 
 ShardRouter::ShardRouter(std::vector<rpc::RpcChannel*> origins,
                          ShardRouterConfig cfg)
-    : cfg_(std::move(cfg)), chans_(std::move(origins)) {
+    : cfg_(std::move(cfg)),
+      chans_(std::move(origins)),
+      map_(static_cast<u32>(chans_.size()), cfg_.replicas) {
   assert(!chans_.empty() && "ShardRouter needs at least one origin");
-  cfg_.replicas = std::max<u32>(1, cfg_.replicas);
-  cfg_.replicas = std::min<u32>(cfg_.replicas, static_cast<u32>(chans_.size()));
   origins_.resize(chans_.size());
-}
-
-std::vector<u32> ShardRouter::replicas_of(u32 shard) const {
-  std::vector<u32> set;
-  set.reserve(cfg_.replicas);
-  for (u32 k = 0; k < cfg_.replicas; ++k) {
-    set.push_back((shard + k) % static_cast<u32>(chans_.size()));
-  }
-  return set;
 }
 
 int ShardRouter::best_read_replica_(const std::vector<u32>& set) const {
@@ -90,10 +114,7 @@ void ShardRouter::mark_dead_(sim::Process& p, u32 j) {
 void ShardRouter::journal_op_(u32 j, const rpc::RpcCall& call) {
   // COMMITs are never journaled: replay upgrades WRITEs to FILE_SYNC, which
   // subsumes them.
-  if (call.prog == rpc::kNfsProgram &&
-      static_cast<nfs::Proc>(call.proc) == nfs::Proc::kCommit) {
-    return;
-  }
+  if (is_proc(call, nfs::Proc::kCommit)) return;
   origins_[j].journal.push_back(
       Origin::JournalEntry{call.prog, call.vers, call.proc, call.cred, call.args});
   journal_epoch_.bump();
@@ -167,8 +188,7 @@ bool ShardRouter::try_reintegrate_(sim::Process& p, u32 j) {
     c.proc = e.proc;
     c.cred = e.cred;
     c.args = e.args;
-    if (c.prog == rpc::kNfsProgram &&
-        static_cast<nfs::Proc>(c.proc) == nfs::Proc::kWrite) {
+    if (is_proc(c, nfs::Proc::kWrite)) {
       if (auto wa = rpc::message_cast<nfs::WriteArgs>(e.args)) {
         // Replayed data must not depend on a verifier round trip again:
         // upgrade to FILE_SYNC so the origin is durable when it rejoins.
@@ -220,8 +240,7 @@ bool ShardRouter::try_reintegrate_(sim::Process& p, u32 j) {
 }
 
 u64 ShardRouter::combined_verf_(const std::vector<u32>& set,
-                                const std::vector<char>& ok,
-                                const std::vector<u64>& verf) const {
+                                std::span<const std::optional<u64>> verf) const {
   // The combined verifier must reflect one consistent live-set snapshot:
   // a yield mid-fold could mix dead-epochs from before and after a failover.
   YieldGuard yield_free(live_set_epoch_);
@@ -232,8 +251,8 @@ u64 ShardRouter::combined_verf_(const std::vector<u32>& set,
     // value is stable while it stays dead (re-sent WRITEs and the following
     // COMMIT agree and can ack), but any death or reintegration in between
     // shifts it and forces the proxy's re-send path.
-    u64 part = ok[k] ? hash_combine(static_cast<u64>(j) + 1, verf[k])
-                     : hash_combine(0xdeadULL, (static_cast<u64>(j) + 1) ^
+    u64 part = verf[k] ? hash_combine(static_cast<u64>(j) + 1, *verf[k])
+                       : hash_combine(0xdeadULL, (static_cast<u64>(j) + 1) ^
                                                    origins_[j].dead_epoch);
     combined = hash_combine(combined, part);
   }
@@ -242,40 +261,96 @@ u64 ShardRouter::combined_verf_(const std::vector<u32>& set,
 
 rpc::RpcReply ShardRouter::call(sim::Process& p, const rpc::RpcCall& call) {
   maybe_probe_(p);
-  const nfs::Route route = call.prog == rpc::kNfsProgram
-                               ? nfs::proc_info(call.proc).route
-                               : nfs::Route::kAnyOrigin;
+  const nfs::Route route = route_of(call);
   if (route == nfs::Route::kBroadcast) return broadcast_(p, call);
   nfs::Fh fh = nfs::call_handle(call);
-  if (!fh.valid()) return any_origin_(p, call);
-  if (route == nfs::Route::kReadOne) return read_one_(p, call, fh);
-  if (route == nfs::Route::kQuorumWrite) return quorum_write_(p, call, fh);
-  return any_origin_(p, call);
+  if (!fh.valid() || route == nfs::Route::kAnyOrigin) return any_origin_(p, call);
+  rpc::RpcReply reply;
+  if (route == nfs::Route::kReadOne) {
+    read_(p, {&call, 1}, {&reply, 1}, shard_of(fh));
+  } else {
+    write_(p, {&call, 1}, {&reply, 1}, shard_of(fh));
+  }
+  return reply;
 }
 
-rpc::RpcReply ShardRouter::read_one_(sim::Process& p, const rpc::RpcCall& call,
-                                     const nfs::Fh& fh) {
-  std::vector<u32> set = replicas_of(shard_of(fh));
-  for (;;) {
-    int j = best_read_replica_(set);
-    if (j < 0) {
-      return rpc::make_error_reply(call,
-                                   err(ErrCode::kTimeout, "no live replica"));
-    }
-    SimTime t0 = p.now();
-    rpc::RpcReply r = chans_[j]->call(p, call);
-    if (timed_out(r)) {
-      mark_dead_(p, static_cast<u32>(j));
-      read_reroutes_.inc();
-      continue;
-    }
-    origins_[j].reads_routed.inc();
-    note_read_latency_(static_cast<u32>(j), to_ms(p.now() - t0));
-    if (static_cast<nfs::Proc>(call.proc) == nfs::Proc::kLookup) {
-      return patch_lookup_attrs_(p, call, std::move(r), static_cast<u32>(j));
-    }
-    return r;
+std::vector<rpc::RpcReply> ShardRouter::call_pipelined(
+    sim::Process& p, const std::vector<rpc::RpcCall>& calls) {
+  if (calls.empty()) return {};
+  maybe_probe_(p);
+  // A burst of one procedure on one shard (the proxy's prefetch and flush
+  // paths are exactly these) keeps its pipelined shape; anything else is
+  // routed call by call.
+  const nfs::Route route = route_of(calls[0]);
+  const nfs::Fh fh0 = nfs::call_handle(calls[0]);
+  bool uniform = fh0.valid() &&
+                 (route == nfs::Route::kReadOne || route == nfs::Route::kQuorumWrite);
+  for (std::size_t i = 1; uniform && i < calls.size(); ++i) {
+    nfs::Fh f = nfs::call_handle(calls[i]);
+    uniform = is_proc(calls[i], static_cast<nfs::Proc>(calls[0].proc)) && f.valid() &&
+              shard_of(f) == shard_of(fh0);
   }
+  std::vector<rpc::RpcReply> out(calls.size());
+  if (!uniform) {
+    for (std::size_t i = 0; i < calls.size(); ++i) out[i] = call(p, calls[i]);
+  } else if (route == nfs::Route::kReadOne) {
+    read_(p, calls, out, shard_of(fh0));
+  } else {
+    write_(p, calls, out, shard_of(fh0));
+  }
+  return out;
+}
+
+void ShardRouter::send_(sim::Process& p, u32 j, std::span<const rpc::RpcCall> calls,
+                        std::span<rpc::RpcReply> out) {
+  if (calls.size() == 1) {
+    out[0] = chans_[j]->call(p, calls[0]);
+    return;
+  }
+  std::vector<rpc::RpcReply> replies =
+      chans_[j]->call_pipelined(p, std::vector<rpc::RpcCall>(calls.begin(), calls.end()));
+  assert(replies.size() == calls.size());
+  std::move(replies.begin(), replies.end(), out.begin());
+}
+
+void ShardRouter::read_(sim::Process& p, std::span<const rpc::RpcCall> calls,
+                        std::span<rpc::RpcReply> out, u32 shard) {
+  const int j = best_read_replica_(replicas_of(shard));
+  if (j < 0) {
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      out[i] = rpc::make_error_reply(calls[i], err(ErrCode::kTimeout, "no live replica"));
+    }
+    return;
+  }
+  const SimTime t0 = p.now();
+  send_(p, static_cast<u32>(j), calls, out);
+  std::vector<std::size_t> lost;  // stays unallocated while the replica lives
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (timed_out(out[i])) {
+      lost.push_back(i);
+    } else {
+      origins_[j].reads_routed.inc();
+    }
+  }
+  if (lost.empty()) {
+    note_read_latency_(static_cast<u32>(j),
+                       to_ms(p.now() - t0) / static_cast<double>(calls.size()));
+  } else {
+    mark_dead_(p, static_cast<u32>(j));
+    read_reroutes_.inc();
+  }
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (is_proc(calls[i], nfs::Proc::kLookup) && !timed_out(out[i])) {
+      out[i] = patch_lookup_attrs_(p, calls[i], std::move(out[i]), static_cast<u32>(j));
+    }
+  }
+  if (lost.empty()) return;
+  std::vector<rpc::RpcCall> again;
+  again.reserve(lost.size());
+  for (std::size_t i : lost) again.push_back(calls[i]);
+  std::vector<rpc::RpcReply> replies(lost.size());
+  read_(p, again, replies, shard);
+  for (std::size_t k = 0; k < lost.size(); ++k) out[lost[k]] = std::move(replies[k]);
 }
 
 rpc::RpcReply ShardRouter::patch_lookup_attrs_(sim::Process& p,
@@ -284,7 +359,7 @@ rpc::RpcReply ShardRouter::patch_lookup_attrs_(sim::Process& p,
   if (!reply.status.is_ok()) return reply;
   auto res = rpc::message_cast<nfs::LookupRes>(reply.result);
   if (!res || res->status != ErrCode::kOk || !res->fh.valid()) return reply;
-  std::vector<u32> home = replicas_of(shard_of(res->fh));
+  const std::vector<u32>& home = replicas_of(shard_of(res->fh));
   if (std::find(home.begin(), home.end(), served) != home.end()) return reply;
   // The directory's replica answered, but the object's data (and thus its
   // size/mtime) lives on another shard: fetch authoritative attrs there.
@@ -325,82 +400,75 @@ sim::Semaphore& ShardRouter::shard_write_lock_(sim::Process& p, u32 shard) {
   return *slot;
 }
 
-rpc::RpcReply ShardRouter::quorum_write_(sim::Process& p,
-                                         const rpc::RpcCall& call,
-                                         const nfs::Fh& fh) {
-  const auto proc = static_cast<nfs::Proc>(call.proc);
+void ShardRouter::write_(sim::Process& p, std::span<const rpc::RpcCall> calls,
+                         std::span<rpc::RpcReply> out, u32 shard) {
+  const auto proc = static_cast<nfs::Proc>(calls[0].proc);
   const bool is_commit = proc == nfs::Proc::kCommit;
   const bool is_lease = proc == nfs::Proc::kLeaseAcquire ||
                         proc == nfs::Proc::kLeaseRelease;
-  (is_commit ? quorum_commits_ : quorum_writes_).inc();
+  (is_commit ? quorum_commits_ : quorum_writes_).inc(calls.size());
   // Serializing the fan-out is the point of this permit: a second writer
   // slipping in while this one is blocked on a replica RPC could execute in
   // one order on the live replicas but journal in the opposite order for a
-  // dead one, and the replay would diverge the replicas.
+  // dead one, and the replay would diverge the replicas. A burst holds it
+  // throughout, so it lands in the same relative order everywhere.
   // gvfs-yield: allow-held per-shard writer serialization must span the whole replica fan-out
-  sim::ScopedPermit writer(p, shard_write_lock_(p, shard_of(fh)));
-  std::vector<u32> set = replicas_of(shard_of(fh));
-  std::vector<char> ok(set.size(), 0);
-  std::vector<u64> verf(set.size(), 0);
-  rpc::RpcReply first_ok;
-  bool have_ok = false;
-  rpc::RpcReply first_err;
-  bool have_err = false;
-  for (std::size_t k = 0; k < set.size(); ++k) {
-    u32 j = set[k];
+  sim::ScopedPermit writer(p, shard_write_lock_(p, shard));
+  // gvfs-lint: allow(yield-stale-ref) the shard map is fixed at construction
+  const std::vector<u32>& set = replicas_of(shard);
+  const std::size_t r = set.size();
+  // verf[i * r + k]: replica set[k]'s verifier for call i, if it acked.
+  std::vector<std::optional<u64>> verf(calls.size() * r);
+  auto acked = [&](std::size_t i) {
+    return std::any_of(verf.begin() + static_cast<std::ptrdiff_t>(i * r),
+                       verf.begin() + static_cast<std::ptrdiff_t>((i + 1) * r),
+                       [](const std::optional<u64>& v) { return v.has_value(); });
+  };
+  // out[i] holds call i's first ack, else its first replica error.
+  for (rpc::RpcReply& o : out) o = {};
+  std::vector<rpc::RpcReply> replies(calls.size());
+  for (std::size_t k = 0; k < r; ++k) {
+    const u32 j = set[k];
     if (!origins_[j].live) {
-      journal_op_(j, call);
+      for (const rpc::RpcCall& c : calls) journal_op_(j, c);
       continue;
     }
-    rpc::RpcReply r = chans_[j]->call(p, call);
-    if (timed_out(r)) {
-      mark_dead_(p, j);
-      journal_op_(j, call);
-      continue;
+    send_(p, j, calls, replies);
+    bool died = false;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      if (timed_out(replies[i])) {
+        died = true;
+        journal_op_(j, calls[i]);
+        continue;
+      }
+      const bool had_ack = acked(i);
+      if (replies[i].status.is_ok()) {
+        origins_[j].writes_routed.inc();
+        verf[i * r + k] = is_commit ? verifier_of<nfs::CommitRes>(replies[i])
+                                    : verifier_of<nfs::WriteRes>(replies[i]);
+        if (!had_ack) out[i] = std::move(replies[i]);
+      } else if (!had_ack && out[i].status.is_ok()) {
+        out[i] = std::move(replies[i]);
+      }
     }
-    if (!r.status.is_ok()) {
-      if (!have_err) {
-        first_err = std::move(r);
-        have_err = true;
+    if (died) mark_dead_(p, j);
+  }
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (!acked(i)) {
+      if (out[i].status.is_ok()) {
+        out[i] = rpc::make_error_reply(
+            calls[i], err(ErrCode::kTimeout, "no live replica for shard"));
       }
       continue;
     }
-    origins_[j].writes_routed.inc();
-    ok[k] = 1;
-    if (is_commit) {
-      auto res = rpc::message_cast<nfs::CommitRes>(r.result);
-      verf[k] = (res && res->status == ErrCode::kOk) ? res->verifier : 0;
-    } else {
-      auto res = rpc::message_cast<nfs::WriteRes>(r.result);
-      verf[k] = (res && res->status == ErrCode::kOk) ? res->verifier : 0;
-    }
-    if (!have_ok) {
-      first_ok = std::move(r);
-      have_ok = true;
-    }
+    // Lease ops carry no write verifier: the first live replica's verdict is
+    // the shard's verdict (replicas process the serialized fan-out in the
+    // same order, so their lease tables agree).
+    if (is_lease) continue;
+    const u64 combined = combined_verf_(set, std::span(verf).subspan(i * r, r));
+    out[i] = is_commit ? with_verifier<nfs::CommitRes>(calls[i], std::move(out[i]), combined)
+                       : with_verifier<nfs::WriteRes>(calls[i], std::move(out[i]), combined);
   }
-  if (!have_ok) {
-    if (have_err) return first_err;
-    return rpc::make_error_reply(
-        call, err(ErrCode::kTimeout, "no live replica for shard"));
-  }
-  // Lease ops carry no write verifier: the first live replica's verdict is
-  // the shard's verdict (replicas process the serialized fan-out in the same
-  // order, so their lease tables agree).
-  if (is_lease) return first_ok;
-  u64 combined = combined_verf_(set, ok, verf);
-  if (is_commit) {
-    auto res = rpc::message_cast<nfs::CommitRes>(first_ok.result);
-    if (!res || res->status != ErrCode::kOk) return first_ok;
-    auto out = std::make_shared<nfs::CommitRes>(*res);
-    out->verifier = combined;
-    return rpc::make_reply(call, out);
-  }
-  auto res = rpc::message_cast<nfs::WriteRes>(first_ok.result);
-  if (!res || res->status != ErrCode::kOk) return first_ok;
-  auto out = std::make_shared<nfs::WriteRes>(*res);
-  out->verifier = combined;
-  return rpc::make_reply(call, out);
 }
 
 rpc::RpcReply ShardRouter::broadcast_(sim::Process& p, const rpc::RpcCall& call) {
@@ -450,139 +518,6 @@ rpc::RpcReply ShardRouter::any_origin_(sim::Process& p, const rpc::RpcCall& call
     return r;
   }
   return rpc::make_error_reply(call, err(ErrCode::kTimeout, "no live origin"));
-}
-
-std::vector<rpc::RpcReply> ShardRouter::call_pipelined(
-    sim::Process& p, const std::vector<rpc::RpcCall>& calls) {
-  if (calls.empty()) return {};
-  maybe_probe_(p);
-  // Uniform single-shard READ and WRITE bursts keep their pipelined shape
-  // (the proxy's prefetch and flush paths are exactly these); anything else
-  // degrades to serial routing.
-  bool uniform = calls[0].prog == rpc::kNfsProgram;
-  auto proc0 = static_cast<nfs::Proc>(calls[0].proc);
-  nfs::Fh fh0 = nfs::call_handle(calls[0]);
-  uniform = uniform && fh0.valid() &&
-            (proc0 == nfs::Proc::kRead || proc0 == nfs::Proc::kWrite);
-  u32 shard0 = fh0.valid() ? shard_of(fh0) : 0;
-  for (std::size_t i = 1; uniform && i < calls.size(); ++i) {
-    if (calls[i].prog != rpc::kNfsProgram ||
-        static_cast<nfs::Proc>(calls[i].proc) != proc0) {
-      uniform = false;
-      break;
-    }
-    nfs::Fh f = nfs::call_handle(calls[i]);
-    if (!f.valid() || shard_of(f) != shard0) uniform = false;
-  }
-  if (!uniform) {
-    std::vector<rpc::RpcReply> out;
-    out.reserve(calls.size());
-    for (const rpc::RpcCall& c : calls) out.push_back(call(p, c));
-    return out;
-  }
-  if (proc0 == nfs::Proc::kRead) return pipelined_read_(p, calls, shard0);
-  return pipelined_write_(p, calls, shard0);
-}
-
-std::vector<rpc::RpcReply> ShardRouter::pipelined_read_(
-    sim::Process& p, const std::vector<rpc::RpcCall>& calls, u32 shard) {
-  std::vector<u32> set = replicas_of(shard);
-  std::vector<rpc::RpcReply> out(calls.size());
-  std::vector<std::size_t> todo(calls.size());
-  for (std::size_t i = 0; i < calls.size(); ++i) todo[i] = i;
-  while (!todo.empty()) {
-    int j = best_read_replica_(set);
-    if (j < 0) {
-      for (std::size_t i : todo) {
-        out[i] = rpc::make_error_reply(calls[i],
-                                       err(ErrCode::kTimeout, "no live replica"));
-      }
-      break;
-    }
-    std::vector<rpc::RpcCall> batch;
-    batch.reserve(todo.size());
-    for (std::size_t i : todo) batch.push_back(calls[i]);
-    SimTime t0 = p.now();
-    std::vector<rpc::RpcReply> rs = chans_[j]->call_pipelined(p, batch);
-    std::vector<std::size_t> next;
-    for (std::size_t k = 0; k < rs.size(); ++k) {
-      if (timed_out(rs[k])) {
-        next.push_back(todo[k]);
-      } else {
-        origins_[j].reads_routed.inc();
-        out[todo[k]] = std::move(rs[k]);
-      }
-    }
-    if (!next.empty()) {
-      mark_dead_(p, static_cast<u32>(j));
-      read_reroutes_.inc();
-    } else {
-      note_read_latency_(static_cast<u32>(j),
-                         to_ms(p.now() - t0) / static_cast<double>(rs.size()));
-    }
-    todo = std::move(next);
-  }
-  return out;
-}
-
-std::vector<rpc::RpcReply> ShardRouter::pipelined_write_(
-    sim::Process& p, const std::vector<rpc::RpcCall>& calls, u32 shard) {
-  // Same writer serialization as quorum_write_: the whole burst must land in
-  // the same relative order on every replica's execution path and journal.
-  // gvfs-yield: allow-held per-shard writer serialization must span the whole replica fan-out
-  sim::ScopedPermit writer(p, shard_write_lock_(p, shard));
-  std::vector<u32> set = replicas_of(shard);
-  // ok[i][k] / verf[i][k]: call i's outcome on replica set[k].
-  std::vector<std::vector<char>> ok(calls.size(),
-                                    std::vector<char>(set.size(), 0));
-  std::vector<std::vector<u64>> verf(calls.size(),
-                                     std::vector<u64>(set.size(), 0));
-  std::vector<rpc::RpcReply> first_ok(calls.size());
-  std::vector<char> have(calls.size(), 0);
-  for (std::size_t k = 0; k < set.size(); ++k) {
-    u32 j = set[k];
-    if (!origins_[j].live) {
-      for (const rpc::RpcCall& c : calls) journal_op_(j, c);
-      continue;
-    }
-    std::vector<rpc::RpcReply> rs = chans_[j]->call_pipelined(p, calls);
-    bool died = false;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (timed_out(rs[i])) {
-        died = true;
-        journal_op_(j, calls[i]);
-        continue;
-      }
-      if (!rs[i].status.is_ok()) continue;
-      origins_[j].writes_routed.inc();
-      auto res = rpc::message_cast<nfs::WriteRes>(rs[i].result);
-      ok[i][k] = 1;
-      verf[i][k] = (res && res->status == ErrCode::kOk) ? res->verifier : 0;
-      if (!have[i]) {
-        first_ok[i] = std::move(rs[i]);
-        have[i] = 1;
-      }
-    }
-    if (died) mark_dead_(p, j);
-  }
-  std::vector<rpc::RpcReply> out(calls.size());
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    quorum_writes_.inc();
-    if (!have[i]) {
-      out[i] = rpc::make_error_reply(
-          calls[i], err(ErrCode::kTimeout, "no live replica for shard"));
-      continue;
-    }
-    auto res = rpc::message_cast<nfs::WriteRes>(first_ok[i].result);
-    if (!res || res->status != ErrCode::kOk) {
-      out[i] = std::move(first_ok[i]);
-      continue;
-    }
-    auto synth = std::make_shared<nfs::WriteRes>(*res);
-    synth->verifier = combined_verf_(set, ok[i], verf[i]);
-    out[i] = rpc::make_reply(calls[i], synth);
-  }
-  return out;
 }
 
 void ShardRouter::register_metrics(metrics::Registry& r,

@@ -6,29 +6,30 @@
 //
 // Routing policy (deterministic, derived only from the request). Each
 // procedure's routing class and the handle it routes on are its row of
-// nfs::kNfsProcTable:
-//   * shard(fh) = fh.key() % N — the file-handle hash assigns every object a
-//     home shard; shard s is stored on replicas {s, s+1, .., s+R-1 mod N}
-//     (chained declustering, so a crash spreads its load over R-1 peers);
+// nfs::kNfsProcTable; where a handle's data lives is the ShardMap below:
 //   * reads (Route::kReadOne) go to the live replica with the lowest EWMA
 //     latency (ties break on the lower origin index) — contention raises a
 //     replica's EWMA and traffic drains to its peers, which is the
 //     load-balancing mechanism;
-//   * WRITE/COMMIT (Route::kQuorumWrite) fan out to every live replica of
-//     the shard and ack only after all of them answered (R-quorum); the
-//     reply carries a *combined* write verifier hashed over the per-replica
-//     verifiers in fixed replica order, with a dead-epoch marker substituted
-//     for dead replicas. Any single replica rebooting — or the live set
-//     changing between WRITE and COMMIT — perturbs the combined verifier,
-//     so the proxy's existing RFC 1813 §3.3.7 mismatch path re-sends the
-//     unacked data: per-replica verifier recovery falls out of the proxy's
-//     verifier check without proxy changes;
+//   * WRITE/COMMIT and the lease procedures (Route::kQuorumWrite) fan out to
+//     every live replica of the shard and ack only after all of them
+//     answered (R-quorum); the reply carries a *combined* write verifier
+//     hashed over the per-replica verifiers in fixed replica order, with a
+//     dead-epoch marker substituted for dead replicas. Any single replica
+//     rebooting — or the live set changing between WRITE and COMMIT —
+//     perturbs the combined verifier, so the proxy's existing RFC 1813
+//     §3.3.7 mismatch path re-sends the unacked data: per-replica verifier
+//     recovery falls out of the proxy's verifier check without proxy changes;
 //   * namespace mutations (Route::kBroadcast) go to all N origins so every
 //     origin holds the full namespace and FileIds stay aligned (identical
 //     mutation order on every origin — concurrent cross-node namespace
 //     mutation is out of scope, see ROADMAP item 4);
 //   * NULL/FSSTAT/FSINFO/MOUNT (Route::kAnyOrigin) go to the lowest-indexed
 //     live origin.
+// One read path and one write path serve single calls and bursts alike: a
+// burst of one procedure on one shard (the proxy's prefetch READs and flush
+// WRITEs) travels to each replica pipelined, and a single call is a burst of
+// one, sent through the replica stack's call().
 //
 // Failover: a kTimeout reply from a replica's channel stack (RetryChannel
 // retransmission budget exhausted) marks it dead. Reads re-route to the next
@@ -44,6 +45,8 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +57,27 @@
 #include "sim/resources.h"
 
 namespace gvfs::proxy {
+
+// Where an N-origin cluster keeps each object: shard(fh) = fh.key() % N, and
+// shard s is stored on replicas {s, s+1, .., s+R-1 mod N} (chained
+// declustering, so a crash spreads its load over R-1 peers). The router
+// routes by it; data placed beside the NFS path (the file channel) uses it
+// too.
+class ShardMap {
+ public:
+  ShardMap(u32 origins, u32 replicas);  // R is clamped to [1, N]
+
+  [[nodiscard]] u32 shard_of(const nfs::Fh& fh) const {
+    return static_cast<u32>(fh.key() % sets_.size());
+  }
+  // Origin indices storing `shard`, in quorum/verifier order.
+  [[nodiscard]] const std::vector<u32>& replicas_of(u32 shard) const {
+    return sets_[shard];
+  }
+
+ private:
+  std::vector<std::vector<u32>> sets_;  // indexed by shard
+};
 
 struct ShardRouterConfig {
   std::string name = "shard-router";
@@ -78,11 +102,10 @@ class ShardRouter final : public rpc::RpcChannel {
   void resync(sim::Process& p);
 
   [[nodiscard]] u32 origin_count() const { return static_cast<u32>(chans_.size()); }
-  [[nodiscard]] u32 shard_of(const nfs::Fh& fh) const {
-    return static_cast<u32>(fh.key() % chans_.size());
+  [[nodiscard]] u32 shard_of(const nfs::Fh& fh) const { return map_.shard_of(fh); }
+  [[nodiscard]] const std::vector<u32>& replicas_of(u32 shard) const {
+    return map_.replicas_of(shard);
   }
-  // Origin indices storing `shard`, in quorum/verifier order.
-  [[nodiscard]] std::vector<u32> replicas_of(u32 shard) const;
   [[nodiscard]] bool origin_live(u32 j) const { return origins_[j].live; }
   [[nodiscard]] u64 journal_size(u32 j) const { return origins_[j].journal.size(); }
   [[nodiscard]] u64 reads_routed(u32 j) const { return origins_[j].reads_routed.value(); }
@@ -139,10 +162,20 @@ class ShardRouter final : public rpc::RpcChannel {
   bool try_reintegrate_(sim::Process& p, u32 j);
   [[nodiscard]] u32 fresh_xid_() { return router_xid_++; }
 
-  rpc::RpcReply read_one_(sim::Process& p, const rpc::RpcCall& call,
-                          const nfs::Fh& fh);
-  rpc::RpcReply quorum_write_(sim::Process& p, const rpc::RpcCall& call,
-                              const nfs::Fh& fh);
+  // Route::kReadOne: `calls` (one shard) go to the shard's best live replica
+  // as one burst; the ones a dying replica lost re-route to the next best.
+  void read_(sim::Process& p, std::span<const rpc::RpcCall> calls,
+             std::span<rpc::RpcReply> out, u32 shard);
+  // Route::kQuorumWrite: `calls` (one procedure, one shard) go to every live
+  // replica as one burst each. A call acked by no replica answers with the
+  // first replica error, else a timeout.
+  void write_(sim::Process& p, std::span<const rpc::RpcCall> calls,
+              std::span<rpc::RpcReply> out, u32 shard);
+  // `calls` to origin j as one pipelined burst, replies into `out`. A burst
+  // of one goes through call(): for a batch of one, every channel's
+  // call_pipelined is equivalent to call.
+  void send_(sim::Process& p, u32 j, std::span<const rpc::RpcCall> calls,
+             std::span<rpc::RpcReply> out);
   rpc::RpcReply broadcast_(sim::Process& p, const rpc::RpcCall& call);
   rpc::RpcReply any_origin_(sim::Process& p, const rpc::RpcCall& call);
   // Replace a LOOKUP result's object attributes with fresh ones from the
@@ -150,19 +183,10 @@ class ShardRouter final : public rpc::RpcChannel {
   // (its data-bearing attrs — size/mtime — would otherwise be stale).
   rpc::RpcReply patch_lookup_attrs_(sim::Process& p, const rpc::RpcCall& call,
                                     rpc::RpcReply reply, u32 served);
-  // Pipelined fast paths for uniform single-shard bursts (proxy prefetch
-  // READ batches and flush WRITE batches).
-  std::vector<rpc::RpcReply> pipelined_read_(sim::Process& p,
-                                             const std::vector<rpc::RpcCall>& calls,
-                                             u32 shard);
-  std::vector<rpc::RpcReply> pipelined_write_(sim::Process& p,
-                                              const std::vector<rpc::RpcCall>& calls,
-                                              u32 shard);
-  // Combined write verifier over the replica set in fixed order; ok[k] says
-  // whether set[k] answered and verf[k] is its per-replica verifier.
+  // Combined write verifier over the replica set in fixed order; verf[k] is
+  // set[k]'s verifier if it acked, nullopt if it did not.
   [[nodiscard]] u64 combined_verf_(const std::vector<u32>& set,
-                                   const std::vector<char>& ok,
-                                   const std::vector<u64>& verf) const;
+                                   std::span<const std::optional<u64>> verf) const;
 
   // One writer at a time per shard. The quorum fan-out yields once per
   // replica, so two interleaved writers can land in one order on a live
@@ -173,6 +197,7 @@ class ShardRouter final : public rpc::RpcChannel {
 
   ShardRouterConfig cfg_;
   std::vector<rpc::RpcChannel*> chans_;
+  ShardMap map_;
   std::deque<Origin> origins_;
   std::vector<std::unique_ptr<sim::Semaphore>> shard_write_locks_;
   // Dynamic half of the yield-point analysis (DESIGN.md §5.8). journal_epoch_

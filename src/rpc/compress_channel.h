@@ -63,9 +63,6 @@ class CompressStats {
     r.register_counter(prefix + "compress_bytes_out", &bytes_out_);
     r.register_gauge(prefix + "compress_cpu_ms", &cpu_ms_);
   }
-  [[nodiscard]] u64 bytes_in() const { return bytes_in_.value(); }
-  [[nodiscard]] u64 bytes_out() const { return bytes_out_.value(); }
-  [[nodiscard]] SimDuration cpu_time() const { return cpu_time_; }
 
   void count(u64 raw, u64 compressed) {
     bytes_in_.inc(raw);

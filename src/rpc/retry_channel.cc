@@ -4,6 +4,8 @@
 
 namespace gvfs::rpc {
 
+constexpr SimDuration kMaxTimeout = 60 * kSecond;  // RTO back-off ceiling
+
 RpcReply RetryChannel::call(sim::Process& p, const RpcCall& call) {
   SimTime sent_at = p.now();
   RpcReply reply = inner_.call(p, call);
@@ -57,7 +59,7 @@ RpcReply RetryChannel::finish_(sim::Process& p, const RpcCall& call,
     rto_wait_ms_.observe(static_cast<double>(wait) /
                          static_cast<double>(kMillisecond));
     if (wait > 0) p.delay(wait);
-    rto = std::min<SimDuration>(cfg_.max_timeout,
+    rto = std::min<SimDuration>(kMaxTimeout,
                                 static_cast<SimDuration>(static_cast<double>(rto) *
                                                          cfg_.backoff));
     if (tracer_) {

@@ -27,7 +27,6 @@ namespace gvfs::rpc {
 struct RetryConfig {
   SimDuration timeout = 1100 * kMillisecond;  // initial RTO (NFS timeo=11)
   double backoff = 2.0;
-  SimDuration max_timeout = 60 * kSecond;
   double jitter = 0.1;       // extra wait, uniform in [0, jitter*RTO)
   u32 max_retransmits = 0;   // 0 = retry forever (hard mount)
 };

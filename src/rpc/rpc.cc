@@ -117,21 +117,6 @@ std::vector<RpcReply> LinkChannel::call_pipelined(sim::Process& p,
   return replies;
 }
 
-// ----------------------------------------------------------- RpcDispatcher --
-
-void RpcDispatcher::register_program(u32 prog, u32 vers, RpcHandler* handler) {
-  programs_.emplace_back(Key{prog, vers}, handler);
-}
-
-RpcReply RpcDispatcher::handle(sim::Process& p, const RpcCall& call) {
-  for (auto& [key, handler] : programs_) {
-    if (key.prog == call.prog && key.vers == call.vers) {
-      return handler->handle(p, call);
-    }
-  }
-  return make_error_reply(call, err(ErrCode::kRpcMismatch, "program unavailable"));
-}
-
 RpcReply make_reply(const RpcCall& call, MessagePtr result) {
   RpcReply r;
   r.xid = call.xid;

@@ -175,24 +175,6 @@ class LinkChannel final : public RpcChannel {
   metrics::Counter calls_;
 };
 
-// Dispatches calls to programs registered by (prog, vers); the RPC-level
-// portmapper role. Unknown programs get PROG_UNAVAIL (kRpcMismatch).
-class RpcDispatcher final : public RpcHandler {
- public:
-  void register_program(u32 prog, u32 vers, RpcHandler* handler);
-  RpcReply handle(sim::Process& p, const RpcCall& call) override;
-
- private:
-  struct Key {
-    u32 prog;
-    u32 vers;
-    bool operator<(const Key& o) const {
-      return prog != o.prog ? prog < o.prog : vers < o.vers;
-    }
-  };
-  std::vector<std::pair<Key, RpcHandler*>> programs_;
-};
-
 // Helpers for building replies.
 RpcReply make_reply(const RpcCall& call, MessagePtr result);
 RpcReply make_error_reply(const RpcCall& call, Status st);

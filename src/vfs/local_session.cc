@@ -6,13 +6,17 @@
 
 namespace gvfs::vfs {
 
+constexpr u32 kPageSize = 4_KiB;
+constexpr u64 kReadaheadBytes = 64_KiB;  // cluster size on miss
+constexpr SimDuration kMetaOpCost = 50 * kMicrosecond;
+
 LocalFsSession::LocalFsSession(MemFs& fs, sim::DiskModel& disk, LocalSessionConfig cfg)
-    : fs_(fs), disk_(disk), cfg_(cfg), cache_(cfg.buffer_cache_bytes, cfg.page_size) {
+    : fs_(fs), disk_(disk), cache_(cfg.buffer_cache_bytes, kPageSize) {
   cache_.set_writeback([this](sim::Process& p, u64 /*file*/, u64 /*page*/,
                               const blob::BlobRef& data) {
     // Dirty page eviction: one mostly-sequential disk write (the elevator
     // batches neighbouring pages in practice; seq_overhead models that).
-    disk_.access(p, data ? data->size() : cfg_.page_size, sim::Locality::kSequential);
+    disk_.access(p, data ? data->size() : kPageSize, sim::Locality::kSequential);
   });
 }
 
@@ -21,11 +25,11 @@ blob::BlobRef LocalFsSession::fetch_page_(sim::Process& p, FileId id, u64 file_s
   if (auto hit = cache_.lookup(id, page)) return *hit;
 
   // Miss: read a readahead cluster from disk and populate all its pages.
-  u64 pages_per_cluster = std::max<u64>(1, cfg_.readahead_bytes / cfg_.page_size);
+  u64 pages_per_cluster = std::max<u64>(1, kReadaheadBytes / kPageSize);
   u64 cluster_first = page - (page % pages_per_cluster);
-  u64 start = cluster_first * cfg_.page_size;
-  u64 bytes = std::min<u64>(cfg_.readahead_bytes, file_size > start ? file_size - start : 0);
-  if (bytes == 0) bytes = cfg_.page_size;  // EOF page: still one disk op
+  u64 start = cluster_first * kPageSize;
+  u64 bytes = std::min<u64>(kReadaheadBytes, file_size > start ? file_size - start : 0);
+  if (bytes == 0) bytes = kPageSize;  // EOF page: still one disk op
 
   auto it = last_page_.find(id);
   sim::Locality loc = (it != last_page_.end() && cluster_first <= it->second + pages_per_cluster &&
@@ -41,10 +45,10 @@ blob::BlobRef LocalFsSession::fetch_page_(sim::Process& p, FileId id, u64 file_s
     cluster = r.is_ok() ? *r : blob::make_zero(bytes);
   }
   blob::BlobRef wanted;
-  u64 n_pages = (cluster->size() + cfg_.page_size - 1) / cfg_.page_size;
+  u64 n_pages = (cluster->size() + kPageSize - 1) / kPageSize;
   for (u64 i = 0; i < std::max<u64>(n_pages, 1); ++i) {
-    u64 off = i * cfg_.page_size;
-    u64 len = std::min<u64>(cfg_.page_size, cluster->size() > off ? cluster->size() - off : 0);
+    u64 off = i * kPageSize;
+    u64 len = std::min<u64>(kPageSize, cluster->size() > off ? cluster->size() - off : 0);
     blob::BlobRef pg = len > 0
                            ? blob::BlobRef(std::make_shared<blob::SliceBlob>(cluster, off, len))
                            : blob::make_zero(0);
@@ -71,8 +75,8 @@ Result<blob::BlobRef> LocalFsSession::read(sim::Process& p, const std::string& p
 
   // Walk pages through the cache to charge time, then return the
   // authoritative bytes as one contiguous lazy slice.
-  u64 first = offset / cfg_.page_size;
-  u64 last = (offset + len - 1) / cfg_.page_size;
+  u64 first = offset / kPageSize;
+  u64 last = (offset + len - 1) / kPageSize;
   for (u64 pg = first; pg <= last; ++pg) fetch_page_(p, id, a.size, pg);
   return fs_.read_ref(id, offset, len);
 }
@@ -85,12 +89,12 @@ Status LocalFsSession::write(sim::Process& p, const std::string& path, u64 offse
   GVFS_RETURN_IF_ERROR(fs_.write_blob(id, offset, data, 0, len));
   // Stage dirty pages in the buffer cache; disk time charged at flush or
   // eviction (local FS write-behind).
-  u64 first = offset / cfg_.page_size;
-  u64 last = (offset + len - 1) / cfg_.page_size;
+  u64 first = offset / kPageSize;
+  u64 last = (offset + len - 1) / kPageSize;
   GVFS_ASSIGN_OR_RETURN(Attr a, fs_.getattr(id));
   for (u64 pg = first; pg <= last; ++pg) {
-    u64 pg_off = pg * cfg_.page_size;
-    u64 pg_len = std::min<u64>(cfg_.page_size, a.size - pg_off);
+    u64 pg_off = pg * kPageSize;
+    u64 pg_len = std::min<u64>(kPageSize, a.size - pg_off);
     auto r = fs_.read_ref(id, pg_off, pg_len);
     cache_.insert(p, id, pg, r.is_ok() ? *r : blob::make_zero(0), /*dirty=*/true);
   }
@@ -98,7 +102,7 @@ Status LocalFsSession::write(sim::Process& p, const std::string& path, u64 offse
 }
 
 Status LocalFsSession::create(sim::Process& p, const std::string& path) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   GVFS_ASSIGN_OR_RETURN(FileId dir, fs_.resolve(path_dirname(path)));
   GVFS_ASSIGN_OR_RETURN(FileId id, fs_.create(dir, path_basename(path), 0644, 0, 0));
   (void)id;
@@ -106,12 +110,12 @@ Status LocalFsSession::create(sim::Process& p, const std::string& path) {
 }
 
 Status LocalFsSession::mkdirs(sim::Process& p, const std::string& path) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   return fs_.mkdirs(path);
 }
 
 Status LocalFsSession::remove(sim::Process& p, const std::string& path) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   GVFS_ASSIGN_OR_RETURN(FileId dir, fs_.resolve(path_dirname(path)));
   GVFS_ASSIGN_OR_RETURN(FileId id, fs_.lookup(dir, path_basename(path)));
   cache_.invalidate_file(p, id);
@@ -119,7 +123,7 @@ Status LocalFsSession::remove(sim::Process& p, const std::string& path) {
 }
 
 Status LocalFsSession::truncate(sim::Process& p, const std::string& path, u64 size) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   GVFS_ASSIGN_OR_RETURN(FileId id, fs_.resolve(path));
   SetAttr sa;
   sa.set_size = true;
@@ -129,7 +133,7 @@ Status LocalFsSession::truncate(sim::Process& p, const std::string& path, u64 si
 
 Status LocalFsSession::symlink(sim::Process& p, const std::string& link_path,
                                const std::string& target) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   GVFS_ASSIGN_OR_RETURN(FileId dir, fs_.resolve(path_dirname(link_path)));
   GVFS_ASSIGN_OR_RETURN(FileId id, fs_.symlink(dir, path_basename(link_path), target));
   (void)id;
@@ -138,7 +142,7 @@ Status LocalFsSession::symlink(sim::Process& p, const std::string& link_path,
 
 Status LocalFsSession::hard_link(sim::Process& p, const std::string& existing,
                                  const std::string& link_path) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   GVFS_ASSIGN_OR_RETURN(FileId file, fs_.resolve(existing));
   GVFS_ASSIGN_OR_RETURN(FileId dir, fs_.resolve(path_dirname(link_path)));
   return fs_.link(file, dir, path_basename(link_path));
@@ -146,7 +150,7 @@ Status LocalFsSession::hard_link(sim::Process& p, const std::string& existing,
 
 Result<std::vector<DirEntry>> LocalFsSession::list(sim::Process& p,
                                                    const std::string& path) {
-  p.delay(cfg_.meta_op_cost);
+  p.delay(kMetaOpCost);
   GVFS_ASSIGN_OR_RETURN(FileId id, fs_.resolve(path));
   return fs_.readdir(id);
 }

@@ -16,9 +16,6 @@ namespace gvfs::vfs {
 
 struct LocalSessionConfig {
   u64 buffer_cache_bytes = 640_MiB;  // pagecache share of a 1 GB machine
-  u32 page_size = 4_KiB;
-  u64 readahead_bytes = 64_KiB;       // cluster size on miss
-  SimDuration meta_op_cost = 50 * kMicrosecond;
 };
 
 class LocalFsSession final : public FsSession {
@@ -56,7 +53,6 @@ class LocalFsSession final : public FsSession {
 
   MemFs& fs_;
   sim::DiskModel& disk_;
-  LocalSessionConfig cfg_;
   BufferCache cache_;
   std::unordered_map<FileId, u64> last_page_;  // sequentiality detection
 };

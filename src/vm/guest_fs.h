@@ -63,7 +63,6 @@ class GuestFs {
   }
 
   [[nodiscard]] VmMonitor& vm() { return vm_; }
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
 
  private:
   struct GFile {

@@ -211,7 +211,8 @@ TEST(BlockCache, FlushAndInvalidateEmptiesCache) {
   });
   f.run([&](sim::Process& p) {
     ASSERT_OK(c.insert(p, BlockId{1, 0}, block_data(1), true));
-    ASSERT_TRUE(c.flush_and_invalidate(p).is_ok());
+    ASSERT_TRUE(c.write_back_all(p).is_ok());
+    c.invalidate_all();
     EXPECT_EQ(c.resident_blocks(), 0u);
     EXPECT_FALSE(c.lookup(p, BlockId{1, 0}).has_value());
   });

@@ -7,7 +7,9 @@
 
 #include "blob/blob.h"
 #include "common/rng.h"
+#include "gvfs/migration.h"
 #include "gvfs/testbed.h"
+#include "meta/meta_file.h"
 #include "proxy/shard_router.h"
 #include "rpc/rpc.h"
 #include "sim/kernel.h"
@@ -35,6 +37,23 @@ u32 shard_of_path(Testbed& bed, const std::string& abs) {
   auto id = bed.origin_fs(0).resolve(abs);
   EXPECT_TRUE(id.is_ok()) << abs;
   return bed.shard_router(0)->shard_of(bed.origin_server(0)->fh_of(*id));
+}
+
+// The origins holding `abs` under the testbed's placement rule.
+std::vector<u32> holders_of_path(Testbed& bed, const std::string& abs) {
+  const TestbedOptions& opt = bed.options();
+  proxy::ShardMap map(bed.origin_count(), opt.origin_replicas);
+  auto id = bed.origin_fs(0).resolve(abs);
+  EXPECT_TRUE(id.is_ok()) << abs;
+  if (!id.is_ok()) return {};
+  return map.replicas_of(map.shard_of(bed.origin_server(0)->fh_of(*id)));
+}
+
+bool has_metric(Testbed& bed, const std::string& prefix) {
+  for (const auto& [id, value] : bed.metrics().snapshot()) {
+    if (id.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
 }
 
 // ---- topology ---------------------------------------------------------------
@@ -117,6 +136,112 @@ TEST(ClusterTopology, ExposesOriginsAndClampsReplicas) {
   EXPECT_EQ(bed.server(), bed.origin_server(0));
 }
 
+// The LAN L2 reaches the cluster as a node would, through per-origin stacks
+// and a ShardRouter: it caches every origin's blocks for the nodes, and its
+// write-through passes a node's write-back to every replica.
+TEST(ClusterTopology, SharedL2FrontsTheCluster) {
+  TestbedOptions opt;
+  opt.scenario = Scenario::kWanCached;
+  opt.generate_image_meta = false;
+  opt.compute_nodes = 2;
+  opt.shared_l2_cache = true;
+  opt.origin_cluster = true;
+  opt.origin_shards = 3;
+  opt.origin_replicas = 2;
+  Testbed bed(opt);
+  ASSERT_NE(bed.lan_proxy(), nullptr);
+  EXPECT_TRUE(has_metric(bed, "lan_l2.router."));
+  // The nodes talk to the L2 alone: no router of their own.
+  EXPECT_EQ(bed.shard_router(0), nullptr);
+
+  const int kFiles = 6;
+  std::vector<blob::BlobRef> files;
+  for (int f = 0; f < kFiles; ++f) {
+    files.push_back(blob::make_synthetic(300 + static_cast<u64>(f), 2_MiB, 0.0, 1.0));
+    ASSERT_TRUE(bed.put_image_file("/l2f" + std::to_string(f), files.back()).is_ok());
+  }
+  const std::vector<u8> patch = fill_bytes(31, 64_KiB);
+  bed.kernel().run_process("t", [&](sim::Process& p) {
+    for (int node = 0; node < 2; ++node) {
+      ASSERT_TRUE(bed.mount(p, node).is_ok());
+      for (int f = 0; f < kFiles; ++f) {
+        auto data = bed.image_session(node).read_all(p, "/l2f" + std::to_string(f));
+        ASSERT_TRUE(data.is_ok()) << data.status().to_string();
+        EXPECT_EQ(blob::content_hash(**data), blob::content_hash(*files[f])) << f;
+      }
+    }
+    ASSERT_TRUE(bed.image_session(0).write(p, "/l2f0", 0, blob::make_bytes(patch)).is_ok());
+    ASSERT_TRUE(bed.signal_write_back(p, 0).is_ok());
+  });
+  ASSERT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+
+  // Node 1's reads hit the L2: the origins served each 32 KiB block once.
+  u64 reads = 0;
+  for (u32 j = 0; j < bed.origin_count(); ++j) {
+    reads += bed.origin_server(static_cast<int>(j))->calls(nfs::Proc::kRead);
+  }
+  EXPECT_EQ(reads, kFiles * 2_MiB / 32_KiB);
+
+  const std::string abs = bed.image_dir() + "/l2f0";
+  const std::vector<u32> holders = holders_of_path(bed, abs);
+  ASSERT_EQ(holders.size(), 2u);
+  for (u32 j : holders) {
+    std::vector<u8> got = file_bytes(bed.origin_fs(static_cast<int>(j)), abs);
+    ASSERT_GE(got.size(), patch.size()) << "origin " << j;
+    EXPECT_TRUE(std::equal(patch.begin(), patch.end(), got.begin())) << "origin " << j;
+  }
+}
+
+// Migration in a cluster: the file-channel upload of the new memory state
+// lands on every replica of the .vmss's shard, and every replica of the meta
+// file's shard describes that state. Before, the upload reached origin 0
+// only, and each origin regenerated its meta-data from its own .vmss.
+TEST(ClusterTopology, MigrationReachesEveryReplica) {
+  TestbedOptions opt;
+  opt.scenario = Scenario::kWanCached;
+  opt.compute_nodes = 2;
+  opt.origin_cluster = true;
+  opt.origin_shards = 3;
+  opt.origin_replicas = 2;
+  Testbed bed(opt);
+  vm::VmImageSpec spec;
+  spec.name = "migrant";
+  spec.memory_bytes = 4_MiB;
+  spec.disk_bytes = 32_MiB;
+  auto image = bed.install_image(spec);
+  ASSERT_TRUE(image.is_ok());
+  auto new_state = blob::make_synthetic(0x5eed5, spec.memory_bytes, 0.7, 3.0);
+
+  bed.kernel().run_process("migrate", [&](sim::Process& p) {
+    ASSERT_TRUE(bed.mount(p, 0).is_ok());
+    vfs::FsSession& src = bed.image_session(0);
+    vm::VmMonitor src_vm;
+    src_vm.attach(src, image->cfg(), image->vmss(), src, image->flat_vmdk());
+    ASSERT_TRUE(src_vm.resume(p).is_ok());
+    auto result = migrate_vm(p, bed, *image, src_vm, new_state, 0, 1);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  });
+  ASSERT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+
+  const std::string vmss = bed.image_dir() + image->vmss();
+  for (u32 j : holders_of_path(bed, vmss)) {
+    auto state = bed.origin_fs(static_cast<int>(j)).get_file(vmss);
+    ASSERT_TRUE(state.is_ok()) << "origin " << j;
+    EXPECT_EQ(blob::content_hash(**state), blob::content_hash(*new_state)) << "origin " << j;
+  }
+  const std::string meta_path = meta::MetaFile::meta_path_for(vmss);
+  for (u32 j : holders_of_path(bed, meta_path)) {
+    auto raw = bed.origin_fs(static_cast<int>(j)).get_file(meta_path);
+    ASSERT_TRUE(raw.is_ok()) << "origin " << j;
+    auto parsed = meta::MetaFile::parse(**raw);
+    ASSERT_TRUE(parsed.is_ok()) << "origin " << j;
+    for (u64 off = 0; off < spec.memory_bytes; off += 8_KiB) {
+      ASSERT_EQ(parsed->range_is_zero(off, 8_KiB), new_state->is_zero_range(off, 8_KiB))
+          << "origin " << j << " offset " << off;
+    }
+  }
+}
+
 // ---- routing ----------------------------------------------------------------
 
 TEST(ClusterRouting, WritesLandOnlyOnHomeShardReplicas) {
@@ -167,6 +292,63 @@ TEST(ClusterRouting, WritesLandOnlyOnHomeShardReplicas) {
   }
   EXPECT_GT(bed.shard_router()->writes_routed(0), 0u);
   EXPECT_GT(bed.shard_router()->writes_routed(1), 0u);
+}
+
+// An origin channel that rejects every WRITE with an authentication error
+// and answers anything else (NULL probes) with an empty reply.
+class RejectingOrigin final : public rpc::RpcChannel {
+ public:
+  rpc::RpcReply call(sim::Process&, const rpc::RpcCall& call) override {
+    if (call.prog == rpc::kNfsProgram &&
+        static_cast<nfs::Proc>(call.proc) == nfs::Proc::kWrite) {
+      return rpc::make_error_reply(call, err(ErrCode::kAuthError, "rejected"));
+    }
+    return rpc::make_reply(call, nullptr);
+  }
+};
+
+// A WRITE every replica rejects answers with the origins' error whether it
+// travels alone or in a burst. A burst used to come back as a timeout, which
+// the proxy takes for an outage (parking or requeueing the flush).
+TEST(ClusterRouting, RejectedWriteBurstKeepsTheOriginsError) {
+  sim::SimKernel kernel;
+  RejectingOrigin o0;
+  RejectingOrigin o1;
+  proxy::ShardRouterConfig cfg;
+  cfg.replicas = 2;
+  proxy::ShardRouter router({&o0, &o1}, cfg);
+  nfs::Fh fh;
+  fh.fsid = 7;
+  fh.fileid = 3;
+  auto write_call = [&](u32 xid, u64 offset) {
+    auto wa = std::make_shared<nfs::WriteArgs>();
+    wa->fh = fh;
+    wa->offset = offset;
+    wa->count = 4_KiB;
+    wa->stable = nfs::StableHow::kUnstable;
+    wa->data = blob::zero_ref(4_KiB);
+    rpc::RpcCall c;
+    c.xid = xid;
+    c.prog = rpc::kNfsProgram;
+    c.vers = rpc::kNfsVersion3;
+    c.proc = static_cast<u32>(nfs::Proc::kWrite);
+    c.args = wa;
+    return c;
+  };
+  kernel.run_process("t", [&](sim::Process& p) {
+    rpc::RpcReply one = router.call(p, write_call(1, 0));
+    EXPECT_EQ(one.status.code(), ErrCode::kAuthError) << one.status.to_string();
+    std::vector<rpc::RpcReply> burst =
+        router.call_pipelined(p, {write_call(2, 0), write_call(3, 4_KiB)});
+    ASSERT_EQ(burst.size(), 2u);
+    for (const rpc::RpcReply& r : burst) {
+      EXPECT_EQ(r.status.code(), ErrCode::kAuthError) << r.status.to_string();
+    }
+  });
+  EXPECT_EQ(kernel.failed_processes(), 0) << kernel.failed_names_joined();
+  EXPECT_EQ(router.journaled_ops(), 0u);
+  EXPECT_TRUE(router.origin_live(0));
+  EXPECT_TRUE(router.origin_live(1));
 }
 
 TEST(ClusterRouting, NamespaceMutationsBroadcastToAllOrigins) {
@@ -482,10 +664,10 @@ class ApplyOrderOrigin final : public rpc::RpcChannel {
 };
 
 // Regression for the journal-order inversion the yield-point analyzer
-// surfaced (yield-held-lock in quorum_write_): the replica fan-out yields once
-// per RPC, so two interleaved writers used to land in one order on the live
-// replica but journal in the *completion* order for the dead one — and the
-// replay then diverged the replicas. The per-shard write lock serializes the
+// surfaced (yield-held-lock in the quorum write path, ShardRouter::write_):
+// the replica fan-out yields once per RPC, so two interleaved writers used to
+// land in one order on the live replica but journal in the *completion* order
+// for the dead one — and the replay then diverged the replicas. The per-shard write lock serializes the
 // fan-outs; this test drives the exact overtaking interleaving and asserts
 // the journal replay reproduces the live replica's apply order.
 TEST(ClusterFailover, ConcurrentQuorumWritesReplayInApplyOrder) {

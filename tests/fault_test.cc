@@ -710,6 +710,50 @@ TEST(FaultE2E, SameSeedGivesIdenticalTimeline) {
   EXPECT_EQ(a.retransmits, b.retransmits);
 }
 
+// With an L2, the WAN hops are the L2's: its stacks carry the fault and
+// retry layers, and a node's LAN hop to the L2 carries none. So a WAN
+// partition cannot hold up blocks the L2 already holds. Before, the fault
+// layers sat on the node-to-L2 hop and such a read waited out the partition.
+TEST(FaultE2E, L2ServesWarmBlocksDuringWanPartition) {
+  TestbedOptions opt;
+  opt.scenario = Scenario::kWanCached;
+  opt.generate_image_meta = false;
+  opt.compute_nodes = 2;
+  opt.shared_l2_cache = true;
+  opt.enable_fault_injection = true;
+  opt.fault.partitions.push_back(sim::FaultWindow{5 * kSecond, 65 * kSecond});
+  Testbed bed(opt);
+  EXPECT_EQ(bed.retry_channel(0), nullptr);  // the node's hop ends at the L2
+  bool l2_retry = false;
+  for (const auto& [id, value] : bed.metrics().snapshot()) {
+    l2_retry = l2_retry || id.rfind("lan_l2.retry.", 0) == 0;
+  }
+  EXPECT_TRUE(l2_retry);
+
+  blob::BlobRef content = blob::make_synthetic(24, 512_KiB, 0.0, 1.0);
+  ASSERT_TRUE(bed.image_fs().put_file(bed.image_dir() + "/img", content).is_ok());
+  SimTime second_half_done = 0;
+  bed.kernel().run_process("session", [&](sim::Process& p) {
+    ASSERT_TRUE(bed.mount(p, 0).is_ok());
+    ASSERT_TRUE(bed.mount(p, 1).is_ok());
+    // Node 1 warms the L2 with the whole image; node 0 reads the first half.
+    ASSERT_TRUE(bed.image_session(1).read_all(p, "/img").is_ok());
+    ASSERT_TRUE(bed.image_session(0).read(p, "/img", 0, 256_KiB).is_ok());
+    ASSERT_LT(p.now(), 5 * kSecond) << "warm phase overran into the partition";
+
+    // Inside the partition, node 0's second half comes from the L2.
+    p.delay_until(5500 * kMillisecond);
+    auto half = bed.image_session(0).read(p, "/img", 256_KiB, 256_KiB);
+    ASSERT_TRUE(half.is_ok()) << half.status().to_string();
+    EXPECT_EQ(blob::content_hash(**half),
+              blob::content_hash(*std::make_shared<blob::SliceBlob>(content, 256_KiB,
+                                                                    256_KiB)));
+    second_half_done = p.now();
+  });
+  EXPECT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+  EXPECT_LT(second_half_done, 65 * kSecond);
+}
+
 TEST(FaultE2E, DegradedProxyServesCacheAndReplaysWrites) {
   TestbedOptions opt;
   opt.scenario = Scenario::kWanCached;

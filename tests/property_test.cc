@@ -934,7 +934,8 @@ TEST_P(CacheIndexEquivalence, RandomOpsMatchLinearScanReference) {
       EXPECT_EQ(real_log[i], ref.log[i]) << "event " << i;
     }
     // Drain: everything dirty goes upstream, nothing left behind.
-    ASSERT_TRUE(cache.flush_and_invalidate(p).is_ok());
+    ASSERT_TRUE(cache.write_back_all(p).is_ok());
+    cache.invalidate_all();
     EXPECT_EQ(cache.dirty_blocks(), 0u);
     EXPECT_EQ(cache.resident_blocks(), 0u);
     EXPECT_EQ(cache.resident_bytes(), 0u);

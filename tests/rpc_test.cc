@@ -132,27 +132,6 @@ TEST(LinkChannel, PipelinedPaysLatencyOnce) {
   });
 }
 
-TEST(Dispatcher, RoutesByProgramAndVersion) {
-  sim::SimKernel k;
-  Echo nfs_handler, mount_handler;
-  RpcDispatcher dispatcher;
-  dispatcher.register_program(kNfsProgram, kNfsVersion3, &nfs_handler);
-  dispatcher.register_program(kMountProgram, kMountVersion3, &mount_handler);
-  k.run_process("p", [&](sim::Process& p) {
-    RpcCall call;
-    call.prog = kNfsProgram;
-    call.vers = kNfsVersion3;
-    EXPECT_TRUE(dispatcher.handle(p, call).status.is_ok());
-    call.prog = kMountProgram;
-    call.vers = kMountVersion3;
-    EXPECT_TRUE(dispatcher.handle(p, call).status.is_ok());
-    call.prog = 999;
-    EXPECT_EQ(dispatcher.handle(p, call).status.code(), ErrCode::kRpcMismatch);
-  });
-  EXPECT_EQ(nfs_handler.calls, 1);
-  EXPECT_EQ(mount_handler.calls, 1);
-}
-
 TEST(Reply, ErrorReplyHasNoResult) {
   RpcCall call;
   call.xid = 55;
