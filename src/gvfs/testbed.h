@@ -27,6 +27,7 @@
 
 #include "cache/block_cache.h"
 #include "cache/file_cache.h"
+#include "common/heap.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "gvfs/profile.h"
@@ -292,6 +293,9 @@ class Testbed {
   // byte-identical to the pre-dedup encoding).
   [[nodiscard]] u32 meta_fp_block_size_() const;
 
+  // Declared first so it is destroyed last: a torn-down 1,000-node testbed
+  // hands its freed heap back to the OS (common/heap.h).
+  HeapReleaseScope heap_release_;
   TestbedOptions opt_;
   sim::SimKernel kernel_;
 

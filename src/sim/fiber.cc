@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #if GVFS_FIBER_ASAN
 #include <sanitizer/asan_interface.h>
@@ -14,6 +15,68 @@
 #endif
 #if GVFS_FIBER_TSAN
 #include <sanitizer/tsan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+// gvfs_fiber_switch(&from, to): push the callee-saved registers, then MXCSR
+// and the x87 control word in one 8-byte slot (both are callee-saved
+// control state in the SysV ABI, and each fiber keeps its own), store rsp
+// into *from, load `to` as rsp and pop the other context's state in reverse.
+// The final `ret` returns into the code that switched away from `to`, or, on
+// a new fiber's first switch, into gvfs_fiber_entry through the frame the
+// Fiber constructor prepared.
+//
+// gvfs_fiber_entry: never called, only returned into, with `this` in rbx
+// and Fiber::trampoline_ in r12. rsp is 16-byte aligned here, so the call
+// hands the trampoline the alignment the ABI promises at function entry.
+// Its CFI marks the return address undefined: unwinders stop at the stub.
+asm(R"(
+        .pushsection .text
+        .p2align 4
+        .globl  gvfs_fiber_switch
+        .hidden gvfs_fiber_switch
+        .type   gvfs_fiber_switch, @function
+gvfs_fiber_switch:
+        pushq   %rbp
+        pushq   %rbx
+        pushq   %r12
+        pushq   %r13
+        pushq   %r14
+        pushq   %r15
+        leaq    -8(%rsp), %rsp
+        stmxcsr (%rsp)
+        fnstcw  4(%rsp)
+        movq    %rsp, (%rdi)
+        movq    %rsi, %rsp
+        ldmxcsr (%rsp)
+        fldcw   4(%rsp)
+        leaq    8(%rsp), %rsp
+        popq    %r15
+        popq    %r14
+        popq    %r13
+        popq    %r12
+        popq    %rbx
+        popq    %rbp
+        ret
+        .size   gvfs_fiber_switch, .-gvfs_fiber_switch
+
+        .p2align 4
+        .globl  gvfs_fiber_entry
+        .hidden gvfs_fiber_entry
+        .type   gvfs_fiber_entry, @function
+gvfs_fiber_entry:
+        .cfi_startproc
+        .cfi_undefined rip
+        movq    %rbx, %rdi
+        call    *%r12
+        ud2
+        .cfi_endproc
+        .size   gvfs_fiber_entry, .-gvfs_fiber_entry
+        .popsection
+)");
+
+extern "C" void gvfs_fiber_switch(void** from, void* to);
+extern "C" void gvfs_fiber_entry();
 #endif
 
 namespace gvfs::sim::fiber {
@@ -29,6 +92,12 @@ std::size_t page_size() {
   std::fprintf(stderr, "sim::fiber: %s\n", what);
   std::abort();
 }
+
+#if !defined(__x86_64__)
+// makecontext passes an entry function only ints, so a new fiber learns
+// which Fiber it is from the switch that first runs it.
+thread_local Fiber* t_entering = nullptr;
+#endif
 
 }  // namespace
 
@@ -75,17 +144,46 @@ void StackPool::release(const Stack& s) {
 
 // ------------------------------------------------------------------ Fiber --
 
+void Fiber::switch_(Context& from, Context& to) {
+#if defined(__x86_64__)
+  gvfs_fiber_switch(&from, to);
+#else
+  t_entering = this;  // a fiber's first switch has no other way to find it
+  if (swapcontext(&from, &to) != 0) die("swapcontext failed");
+#endif
+}
+
 Fiber::Fiber(StackPool& pool, MainContext& main, Entry entry, void* arg)
     : pool_(pool), main_(main), entry_(entry), arg_(arg), stack_(pool.acquire()) {
+#if defined(__x86_64__)
+  // The frame gvfs_fiber_switch pops, built at the top of the stack: the
+  // creator's MXCSR and x87 control word, zeroed r15/r14/r13, the
+  // trampoline in r12, `this` in rbx, a null rbp (frame-pointer walks end
+  // here) and the entry stub as the return address. The frame's base is
+  // 16-byte aligned, so the stub starts with rsp 16-byte aligned below
+  // two zero words and its call gives the trampoline the ABI's alignment.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  const std::uint64_t frame[10] = {
+      mxcsr | std::uint64_t{fpu_cw} << 32,
+      0, 0, 0,
+      reinterpret_cast<std::uint64_t>(&Fiber::trampoline_),
+      reinterpret_cast<std::uint64_t>(this),
+      0,
+      reinterpret_cast<std::uint64_t>(&gvfs_fiber_entry),
+      0, 0};
+  unsigned char* base = stack_.limit + stack_.usable - sizeof frame;
+  std::memcpy(base, frame, sizeof frame);
+  ctx_ = base;
+#else
   if (getcontext(&ctx_) != 0) die("getcontext failed");
   ctx_.uc_stack.ss_sp = stack_.limit;
   ctx_.uc_stack.ss_size = stack_.usable;
   ctx_.uc_link = nullptr;
-  // makecontext only passes ints; smuggle the 64-bit this-pointer as two.
-  auto p = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline_), 2,
-              static_cast<unsigned>(p >> 32),
-              static_cast<unsigned>(p & 0xffffffffu));
+  makecontext(&ctx_, [] { trampoline_(t_entering); }, 0);
+#endif
 #if GVFS_FIBER_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -112,7 +210,7 @@ void Fiber::resume() {
 #if GVFS_FIBER_ASAN
   __sanitizer_start_switch_fiber(&main_.fake_stack_, stack_.limit, stack_.usable);
 #endif
-  if (swapcontext(&main_.ctx_, &ctx_) != 0) die("swapcontext to fiber failed");
+  switch_(main_.ctx_, ctx_);
 #if GVFS_FIBER_ASAN
   const void* from_bottom = nullptr;
   std::size_t from_size = 0;
@@ -138,16 +236,14 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&fake_stack_, main_.stack_bottom_,
                                  main_.stack_size_);
 #endif
-  if (swapcontext(&ctx_, &main_.ctx_) != 0) die("swapcontext to scheduler failed");
+  switch_(ctx_, main_.ctx_);
 #if GVFS_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fake_stack_, &main_.stack_bottom_,
                                   &main_.stack_size_);
 #endif
 }
 
-void Fiber::trampoline_(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+void Fiber::trampoline_(Fiber* self) {
 #if GVFS_FIBER_ASAN
   __sanitizer_finish_switch_fiber(nullptr, &self->main_.stack_bottom_,
                                   &self->main_.stack_size_);
@@ -163,7 +259,7 @@ void Fiber::trampoline_(unsigned hi, unsigned lo) {
   __sanitizer_start_switch_fiber(nullptr, self->main_.stack_bottom_,
                                  self->main_.stack_size_);
 #endif
-  swapcontext(&self->ctx_, &self->main_.ctx_);
+  self->switch_(self->ctx_, self->main_.ctx_);
   die("finished fiber resumed");
 }
 

@@ -1,11 +1,22 @@
-// Stackful cooperative fibers for the simulation kernel (ucontext-based).
+// Stackful cooperative fibers for the simulation kernel.
 //
 // The kernel runs every sim::Process on a fiber: a private, pooled call
-// stack switched in and out with swapcontext. Exactly one context — the
+// stack switched in and out by a context switch. Exactly one context — the
 // scheduler (the OS thread that called SimKernel::run) or a single fiber —
 // executes at any moment, so a virtual-time wakeup costs one user-space
 // register swap each way instead of two OS thread context switches through
 // a mutex/condvar handoff.
+//
+// On x86-64 the switch is a few lines of assembly in the shape of
+// Boost.Context's fcontext: push the callee-saved registers, save MXCSR and
+// the x87 control word, store the stack pointer, load the other context's,
+// and pop its registers back. It makes no system call (glibc's swapcontext
+// saves and restores the signal mask with one per switch, and the sim never
+// changes its mask), and a suspended context is just its stack pointer. A
+// new fiber's stack starts with a prepared frame of that shape whose return
+// address is an entry stub, so its first switch enters Fiber::trampoline_.
+// Other architectures fall back to ucontext (getcontext/makecontext/
+// swapcontext); the build platform picks one, there is no option.
 //
 // Stacks are mmap'd with a PROT_NONE guard page below the usable range
 // (overflow faults instead of corrupting a neighbour) and are recycled
@@ -21,7 +32,9 @@
 // CI sanitizer matrix byte-for-byte meaningful on the fiber engine.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <vector>
@@ -45,9 +58,17 @@
 
 namespace gvfs::sim::fiber {
 
+// A suspended execution context: on x86-64 the stack pointer at which its
+// registers were pushed, elsewhere a ucontext_t.
+#if defined(__x86_64__)
+using Context = void*;
+#else
+using Context = ucontext_t;
+#endif
+
 // One mmap'd fiber stack: [map_base, map_base+map_size) is the whole
 // mapping, the low page is a PROT_NONE guard, [limit, limit+usable) is the
-// writable range handed to makecontext.
+// writable range the fiber runs on.
 struct Stack {
   void* map_base = nullptr;
   std::size_t map_size = 0;
@@ -93,7 +114,7 @@ class MainContext {
 
  private:
   friend class Fiber;
-  ucontext_t ctx_;
+  Context ctx_{};
 #if GVFS_FIBER_TSAN
   void* tsan_fiber_ = nullptr;
 #endif
@@ -108,7 +129,7 @@ class MainContext {
 };
 
 // A single cooperative execution context. Lifecycle:
-//   Fiber f(pool, main, entry, arg);   // grabs a pooled stack, makecontext
+//   Fiber f(pool, main, entry, arg);   // grabs a pooled stack, prepares it
 //   f.resume();                        // scheduler -> fiber, runs entry(arg)
 //   ... entry calls f.yield() to suspend, resume() continues it ...
 //   entry returns -> fiber marks finished, final-switches to the scheduler;
@@ -131,14 +152,17 @@ class Fiber {
   [[nodiscard]] bool finished() const { return finished_; }
 
  private:
-  static void trampoline_(unsigned hi, unsigned lo);
+  // The first code a fiber runs: entry_(arg_), then the final switch.
+  [[noreturn]] static void trampoline_(Fiber* self);
+  // Saves the running context in `from` and continues `to`.
+  void switch_(Context& from, Context& to);
 
   StackPool& pool_;
   MainContext& main_;
   Entry entry_;
   void* arg_;
   Stack stack_;
-  ucontext_t ctx_;
+  Context ctx_{};
   bool finished_ = false;
   bool stack_released_ = false;
 #if GVFS_FIBER_TSAN

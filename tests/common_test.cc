@@ -2,10 +2,17 @@
 // formatting and streaming statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <functional>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/hash.h"
+#include "common/heap.h"
 #include "common/mutation_epoch.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -248,6 +255,60 @@ TEST(Stats, RunningStat) {
   s.reset();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+}
+
+namespace {
+// This process's resident set size, from /proc/self/status.
+long vm_rss_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6)) * 1024;
+  }
+  return 0;
+}
+
+// Inside one HeapReleaseScope, fills `bytes` of 32 KiB heap chunks (below
+// glibc's mmap threshold, so they come from the brk heap) and frees them
+// all but the highest one, which stays allocated past the scope so glibc's
+// own trim of the heap's top cannot return the freed pages. Returns VmRSS
+// growth over the start once the scope is gone.
+long rss_growth_after_freeing(std::size_t bytes) {
+  constexpr std::size_t kChunk = 32 * 1024;
+  const long start = vm_rss_bytes();
+  std::unique_ptr<char[]> top;
+  {
+    HeapReleaseScope scope;
+    std::vector<std::unique_ptr<char[]>> chunks;
+    for (std::size_t filled = 0; filled < bytes; filled += kChunk) {
+      chunks.push_back(std::make_unique<char[]>(kChunk));  // zeroed: touched
+    }
+    auto highest = std::max_element(chunks.begin(), chunks.end(),
+                                    [](const auto& a, const auto& b) {
+                                      return std::less<>()(a.get(), b.get());
+                                    });
+    top = std::move(*highest);
+  }
+  return vm_rss_bytes() - start;
+}
+
+bool glibc_malloc_in_use() {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return false;
+#else
+  return true;
+#endif
+}
+}  // namespace
+
+TEST(HeapReleaseScope, LargeFreedHeapGoesBackToTheOs) {
+  if (!glibc_malloc_in_use()) GTEST_SKIP() << "the scope trims glibc's heap only";
+  EXPECT_LT(rss_growth_after_freeing(96_MiB), 16L << 20);
+}
+
+TEST(HeapReleaseScope, SmallFreedHeapKeepsItsPages) {
+  if (!glibc_malloc_in_use()) GTEST_SKIP() << "the scope trims glibc's heap only";
+  EXPECT_GE(rss_growth_after_freeing(16_MiB), 12L << 20);
 }
 
 TEST(MutationEpoch, BumpAdvancesOnlyWhenCheckingIsCompiledIn) {

@@ -3,8 +3,11 @@
 // queueing and CPU pools.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/kernel.h"
@@ -566,6 +569,94 @@ TEST(SimKernel, ScheduleTraceIsDeterministicAcrossRuns) {
 
 TEST(SimKernel, ScheduleTraceMatchesCommittedGolden) {
   EXPECT_EQ(run_traced_scenario(), kGoldenScheduleTrace);
+}
+
+namespace {
+// The rounding control of the running context: MXCSR's and the x87 control
+// word's on x86-64, where a fiber switch saves each itself; fegetround()
+// elsewhere.
+std::pair<unsigned, unsigned> rounding_modes() {
+#if defined(__x86_64__)
+  unsigned mxcsr = 0;
+  unsigned short x87_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(x87_cw));
+  return {mxcsr & 0x6000u, x87_cw & 0x0c00u};
+#else
+  return {static_cast<unsigned>(std::fegetround()), 0u};
+#endif
+}
+}  // namespace
+
+TEST(SimKernel, EachFiberKeepsItsOwnFloatingPointControlState) {
+  // fesetround() sets both MXCSR and the x87 control word. A process that
+  // switches to round-toward-zero and yields must not lend its mode to the
+  // scheduler or to another process, and must find it again when resumed.
+  std::fesetround(FE_TOWARDZERO);
+  const auto toward_zero = rounding_modes();
+  std::fesetround(FE_TONEAREST);
+  const auto defaults = rounding_modes();
+  ASSERT_NE(toward_zero, defaults);
+
+  SimKernel k;
+  std::vector<std::pair<unsigned, unsigned>> scheduler_saw;
+  k.set_schedule_tracer([&](SimTime, u64, const Process&) {
+    scheduler_saw.push_back(rounding_modes());
+  });
+  std::pair<unsigned, unsigned> set_here, after_resume, other_at_start, other_later;
+  k.spawn("toward-zero", [&](Process& p) {
+    std::fesetround(FE_TOWARDZERO);
+    set_here = rounding_modes();
+    p.delay(10);
+    after_resume = rounding_modes();
+    std::fesetround(FE_TONEAREST);
+  });
+  k.spawn("default", [&](Process& p) {
+    other_at_start = rounding_modes();
+    p.delay(5);
+    other_later = rounding_modes();
+  });
+  k.run();
+
+  EXPECT_EQ(set_here, toward_zero);
+  EXPECT_EQ(after_resume, toward_zero);
+  EXPECT_EQ(other_at_start, defaults);
+  EXPECT_EQ(other_later, defaults);
+  ASSERT_EQ(scheduler_saw.size(), 4u);
+  for (const auto& modes : scheduler_saw) EXPECT_EQ(modes, defaults);
+  EXPECT_EQ(rounding_modes(), defaults);
+}
+
+namespace {
+// How far a 16-byte-aligned local of a fresh frame sits from 16-byte
+// alignment. GCC does not realign the stack for 16 (the ABI promises it at
+// every call), and the address is laundered through asm so the compiler
+// cannot fold the alignment it assumes: this reads the frame's real
+// alignment, which a wrong fiber entry frame would break.
+__attribute__((noinline)) std::uintptr_t misalignment_of_aligned_local() {
+  alignas(16) volatile unsigned char local[16];
+  local[0] = 0;  // a byte store: no aligned SSE access that would fault first
+  auto addr = reinterpret_cast<std::uintptr_t>(&local[0]);
+  asm volatile("" : "+r"(addr));
+  return addr % 16;
+}
+}  // namespace
+
+TEST(SimKernel, FiberStackIsAlignedAtEntryAndAfterEveryResume) {
+  SimKernel k;
+  std::vector<std::uintptr_t> misalignments;
+  for (int i = 0; i < 3; ++i) {
+    k.spawn("aligned-" + std::to_string(i), [&misalignments, i](Process& p) {
+      misalignments.push_back(misalignment_of_aligned_local());
+      for (int step = 0; step < 4; ++step) {
+        p.delay(1 + i);
+        misalignments.push_back(misalignment_of_aligned_local());
+      }
+    });
+  }
+  k.run();
+  ASSERT_EQ(misalignments.size(), 15u);
+  for (std::uintptr_t m : misalignments) EXPECT_EQ(m, 0u);
 }
 
 TEST(SimKernel, FiberStacksAreRecycledAcrossSequentialProcesses) {

@@ -14,7 +14,10 @@
 #   4. TSan              full test suite under ThreadSanitizer; the sim runs
 #                        its processes as fibers on one OS thread, announced
 #                        to TSan at every switch (sim/fiber.cc), so this checks
-#                        the fiber handoff rather than lock-based concurrency
+#                        the fiber handoff rather than lock-based concurrency.
+#                        The only std::atomic in src/ is the log level; the
+#                        job is kept to check that every fiber switch, the
+#                        hand-written x86-64 one included, is announced
 #   5. clang-tidy        bugprone-*/performance-*/concurrency-* profile from
 #                        .clang-tidy — runs only when clang-tidy is on PATH
 #                        (the baked-in container toolchain is gcc-only)
