@@ -2,18 +2,21 @@
 
 #include <algorithm>
 
-#include "blob/extent_store.h"
-
 namespace gvfs::cache {
+
+const blob::BlobRef& FileCache::content_(Entry& e) {
+  if (!e.snapshot) e.snapshot = e.store.snapshot();
+  return e.snapshot;
+}
 
 Status FileCache::evict_lru_(sim::Process& p) {
   if (lru_.empty()) return err(ErrCode::kNoSpc, "file cache thrashing");
   Entry& victim = lru_.back();
   if (victim.dirty && upload_) {
-    GVFS_RETURN_IF_ERROR(upload_(p, victim.key, victim.content));
+    GVFS_RETURN_IF_ERROR(upload_(p, victim.key, content_(victim)));
   }
   evictions_.inc();
-  resident_bytes_.sub(victim.content ? victim.content->size() : 0);
+  resident_bytes_.sub(victim.store.size());
   map_.erase(victim.key);
   lru_.pop_back();
   return Status::ok();
@@ -24,7 +27,7 @@ Status FileCache::put(sim::Process& p, u64 file_key, blob::BlobRef content,
   u64 size = content ? content->size() : 0;
   auto it = map_.find(file_key);
   if (it != map_.end()) {
-    resident_bytes_.sub(it->second->content ? it->second->content->size() : 0);
+    resident_bytes_.sub(it->second->store.size());
     lru_.erase(it->second);
     map_.erase(it);
   }
@@ -33,7 +36,7 @@ Status FileCache::put(sim::Process& p, u64 file_key, blob::BlobRef content,
   }
   // Lay the file down on the cache disk sequentially.
   disk_.access(p, std::max<u64>(size, 4_KiB), sim::Locality::kSequential);
-  lru_.push_front(Entry{file_key, std::move(content), dirty, 0});
+  lru_.push_front(Entry{file_key, blob::ExtentStore(content), std::move(content), dirty, 0});
   map_[file_key] = lru_.begin();
   resident_bytes_.add(size);
   return Status::ok();
@@ -49,12 +52,12 @@ std::optional<blob::BlobRef> FileCache::read(sim::Process& p, u64 file_key,
   hits_.inc();
   lru_.splice(lru_.begin(), lru_, it->second);
   Entry& e = *it->second;
-  u64 size = e.content ? e.content->size() : 0;
+  u64 size = e.store.size();
   if (offset >= size || len == 0) return blob::BlobRef(blob::make_zero(0));
   len = std::min<u64>(len, size - offset);
   // Copy the content handle before the disk yield: a concurrent invalidate
   // erases the entry and would leave `e` dangling.
-  blob::BlobRef content = e.content;
+  blob::BlobRef content = content_(e);
   bool sequential = offset == e.last_read_end;
   disk_.access(p, len,
                sequential ? sim::Locality::kSequential : sim::Locality::kRandom);
@@ -68,14 +71,14 @@ Status FileCache::write(sim::Process& p, u64 file_key, u64 offset,
   auto it = map_.find(file_key);
   if (it == map_.end()) return err(ErrCode::kNoEnt, "file not cached");
   Entry& e = *it->second;
-  blob::ExtentStore compose;
-  if (e.content) compose.write_blob(0, e.content, 0, e.content->size());
   u64 n = data ? data->size() : 0;
-  if (n > 0) compose.write_blob(offset, data, 0, n);
-  u64 old_size = e.content ? e.content->size() : 0;
-  e.content = compose.snapshot();
+  u64 old_size = e.store.size();
+  if (n > 0) {
+    e.store.write_blob(offset, data, 0, n);
+    e.snapshot = nullptr;
+  }
   e.dirty = true;
-  resident_bytes_.add(e.content->size() - old_size);
+  resident_bytes_.add(e.store.size() - old_size);
   disk_.access(p, std::max<u64>(n, 4_KiB), sim::Locality::kSequential);
   // The disk write yielded: a concurrent invalidate may have dropped the
   // entry, so re-find before the LRU touch.
@@ -87,7 +90,7 @@ Status FileCache::write(sim::Process& p, u64 file_key, u64 offset,
 std::optional<u64> FileCache::cached_size(u64 file_key) const {
   auto it = map_.find(file_key);
   if (it == map_.end()) return std::nullopt;
-  return it->second->content ? it->second->content->size() : 0;
+  return it->second->store.size();
 }
 
 Status FileCache::write_back_all(sim::Process& p) {
@@ -103,7 +106,7 @@ Status FileCache::write_back_all(sim::Process& p) {
     if (upload_) {
       // Copy the content handle before the yields (re-read from the cache
       // disk, then upload); the entry may be invalidated meanwhile.
-      blob::BlobRef content = it->second->content;
+      blob::BlobRef content = content_(*it->second);
       disk_.access(p, content ? content->size() : 4_KiB,
                    sim::Locality::kSequential);
       GVFS_RETURN_IF_ERROR(upload_(p, key, content));
@@ -118,7 +121,7 @@ Status FileCache::write_back_all(sim::Process& p) {
 void FileCache::invalidate(u64 file_key) {
   auto it = map_.find(file_key);
   if (it == map_.end()) return;
-  resident_bytes_.sub(it->second->content ? it->second->content->size() : 0);
+  resident_bytes_.sub(it->second->store.size());
   lru_.erase(it->second);
   map_.erase(it);
 }

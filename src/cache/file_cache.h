@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "blob/blob.h"
+#include "blob/extent_store.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -60,11 +61,6 @@ class FileCache {
   [[nodiscard]] u64 evictions() const { return evictions_.value(); }
   [[nodiscard]] u64 resident_bytes() const { return resident_bytes_.value(); }
   [[nodiscard]] u64 files_cached() const { return map_.size(); }
-  void reset_stats() {
-    hits_.reset();
-    misses_.reset();
-    evictions_.reset();
-  }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "hits", &hits_);
@@ -76,13 +72,19 @@ class FileCache {
  private:
   struct Entry {
     u64 key = 0;
-    blob::BlobRef content;
+    // A write splices into `store`; `snapshot` is the store as one
+    // immutable blob, taken again only when the file is next read or
+    // uploaded (null in between). Building a snapshot per write would
+    // nest each one inside the next, as deep as the writes are many.
+    blob::ExtentStore store;
+    blob::BlobRef snapshot;
     bool dirty = false;
     u64 last_read_end = 0;  // sequential-read detection
   };
   using Lru = std::list<Entry>;
 
   Status evict_lru_(sim::Process& p);
+  static const blob::BlobRef& content_(Entry& e);
 
   sim::DiskModel& disk_;
   FileCacheConfig cfg_;

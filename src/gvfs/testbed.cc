@@ -277,7 +277,6 @@ void Testbed::build_lan_cache_node_() {
   proxy::ProxyConfig lpcfg;
   lpcfg.name = "lan-l2-proxy";
   lpcfg.enable_meta = false;
-  lpcfg.dedup_blocks = opt_.dedup_blocks;
   lan_proxy_ = std::make_unique<proxy::GvfsProxy>(lpcfg, *lan_upstream_->top);
   lan_proxy_->attach_block_cache(*lan_block_cache_);
 
@@ -321,7 +320,6 @@ void Testbed::resolve_shared_node_config_() {
   node_cfg_.proxy.degraded_mode = opt_.degraded_proxy;
   node_cfg_.proxy.async_writeback = opt_.enable_async_writeback;
   node_cfg_.proxy.enable_leases = opt_.enable_leases;
-  node_cfg_.proxy.dedup_blocks = node_cfg_.cached && opt_.dedup_blocks;
 
   if (node_cfg_.cached) {
     node_cfg_.block_cache = opt_.block_cache;
@@ -448,8 +446,6 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
   pcfg.name = tag + "-proxy";
   if (opt_.enable_leases) pcfg.lease_client_id = static_cast<u64>(index) + 1;
   node->client_proxy = std::make_unique<proxy::GvfsProxy>(pcfg, *upstream);
-
-  if (metrics_on) node->client_proxy->register_metrics(registry_, tag + ".proxy.");
   if (tracer_) node->client_proxy->set_tracer(tracer_.get());
 
   if (opt_.enable_leases) {
@@ -483,6 +479,8 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
       node->file_channel->register_metrics(registry_, tag + ".file_channel.");
     }
   }
+
+  if (metrics_on) node->client_proxy->register_metrics(registry_, tag + ".proxy.");
 
   node->loopback = std::make_unique<rpc::LinkChannel>(*node->client_proxy, nullptr,
                                                       nullptr, 15 * kMicrosecond);

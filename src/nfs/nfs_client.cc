@@ -43,7 +43,7 @@ Result<rpc::MessagePtr> NfsClient::call_(sim::Process& p, Proc proc,
   c.cred = cred_;
   c.args = std::move(args);
   rpcs_sent_.inc();
-  ++proc_counts_[c.proc];
+  ++proc_counts_[c.proc];  // every Proc is below kNfsProcs.size()
   if (tracer_) tracer_->begin(&p, c.xid, c.proc, proc_name(proc), p.now());
   rpc::RpcReply reply = channel_.call(p, c);
   if (!reply.status.is_ok()) {
@@ -73,16 +73,8 @@ Result<std::shared_ptr<const Res>> NfsClient::call_as_(sim::Process& p, Proc pro
 }
 
 u64 NfsClient::rpcs_sent(Proc proc) const {
-  auto it = proc_counts_.find(static_cast<u32>(proc));
-  return it == proc_counts_.end() ? 0 : it->second;
-}
-
-void NfsClient::reset_stats() {
-  rpcs_sent_.reset();
-  proc_counts_.clear();
-  bytes_read_wire_.reset();
-  bytes_written_wire_.reset();
-  pages_.reset_stats();
+  const auto n = static_cast<u32>(proc);
+  return n < proc_counts_.size() ? proc_counts_[n] : 0;
 }
 
 void NfsClient::drop_caches() {

@@ -5,6 +5,7 @@
 // whose WAN costs the GVFS proxy extensions attack.
 #pragma once
 
+#include <array>
 #include <string>
 #include <unordered_map>
 
@@ -70,7 +71,6 @@ class NfsClient final : public vfs::FsSession {
   // Replies rejected because their xid did not match the issued call.
   [[nodiscard]] u64 xid_mismatches() const { return xid_mismatches_.value(); }
   [[nodiscard]] vfs::BufferCache& page_cache() { return pages_; }
-  void reset_stats();
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "rpcs_sent", &rpcs_sent_);
@@ -120,7 +120,7 @@ class NfsClient final : public vfs::FsSession {
   std::unordered_map<u64, Fh> key_to_fh_;
   u32 next_xid_ = 1;
   metrics::Counter rpcs_sent_;
-  std::unordered_map<u32, u64> proc_counts_;
+  std::array<u64, kNfsProcs.size()> proc_counts_{};  // calls per procedure number
   metrics::Counter bytes_read_wire_;
   metrics::Counter bytes_written_wire_;
   metrics::Counter xid_mismatches_;

@@ -51,13 +51,6 @@ Fh NfsServer::root_fh(const std::string& export_path) {
   return it == exports_.end() ? Fh{} : Fh{cfg_.fsid, it->second};
 }
 
-void NfsServer::reset_stats() {
-  proc_calls_.fill(0);
-  total_calls_.reset();
-  service_ms_.reset();
-  page_cache_.reset_stats();
-}
-
 PostOpAttr NfsServer::post_attr_(vfs::FileId id) {
   PostOpAttr poa;
   auto a = fs_.getattr(id);

@@ -84,7 +84,6 @@ class NfsServer final : public rpc::RpcHandler {
                : 0;
   }
   [[nodiscard]] u64 total_calls() const { return total_calls_.value(); }
-  void reset_stats();
 
   // Drop the server page cache (cold experiment start).
   void drop_caches() { page_cache_.drop_all(); }

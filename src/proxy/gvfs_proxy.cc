@@ -58,39 +58,10 @@ void GvfsProxy::attach_file_channel(meta::FileChannelClient& channel,
   file_channel_ = &channel;
   file_cache_ = &fc;
   fc.set_upload([this](sim::Process& p, u64 key, const blob::BlobRef& content) {
-    auto it = key_to_fh_.find(key);
-    if (it == key_to_fh_.end()) return err(ErrCode::kStale, "unknown file key");
-    return file_channel_->upload_from_cache(p, key, it->second.fileid, content);
+    const FileState* f = find_(key);
+    if (f == nullptr) return err(ErrCode::kStale, "unknown file key");
+    return file_channel_->upload_from_cache(p, key, f->fh.fileid, content);
   });
-}
-
-void GvfsProxy::reset_stats() {
-  calls_received_.reset();
-  calls_forwarded_.reset();
-  block_hits_.reset();
-  file_hits_.reset();
-  zero_filtered_.reset();
-  writes_absorbed_.reset();
-  blocks_prefetched_.reset();
-  degraded_reads_.reset();
-  queued_writebacks_.reset();
-  replayed_writebacks_.reset();
-  coalesced_writebacks_.reset();
-  flush_enqueued_.reset();
-  flush_unstable_writes_.reset();
-  flush_commits_.reset();
-  flush_verifier_resends_.reset();
-  flush_queue_reads_.reset();
-  single_flight_leads_.reset();
-  single_flight_waits_.reset();
-  leases_acquired_.reset();
-  lease_acquire_retries_.reset();
-  lease_acquire_failures_.reset();
-  recalls_served_.reset();
-  lease_fences_.reset();
-  attr_evictions_.reset();
-  attr_revalidations_.reset();
-  outage_total_ = last_recovery_time_ = 0;
 }
 
 // ------------------------------------------------------- upstream helpers --
@@ -139,45 +110,74 @@ rpc::RpcReply GvfsProxy::forward_(sim::Process& p, const rpc::RpcCall& call) {
   return reply;
 }
 
-// ---------------------------------------------------------- attr tracking --
+// ----------------------------------------------------------- file records --
+
+GvfsProxy::FileState& GvfsProxy::file_(const Fh& fh) {
+  FileState& f = files_[fh.key()];
+  f.fh = fh;
+  return f;
+}
+
+GvfsProxy::FileState* GvfsProxy::find_(u64 key) {
+  auto it = files_.find(key);
+  return it == files_.end() ? nullptr : &it->second;
+}
+
+const GvfsProxy::FileState* GvfsProxy::find_(u64 key) const {
+  auto it = files_.find(key);
+  return it == files_.end() ? nullptr : &it->second;
+}
+
+void GvfsProxy::forget_(FileState& f) {
+  const u64 key = f.fh.key();
+  if (block_cache_ != nullptr) block_cache_->invalidate_file(key);
+  if (file_cache_ != nullptr) file_cache_->invalidate(key);
+  drop_attr_(f);
+  f.staged_size = 0;
+  // A kept read-ahead window would name frames just dropped, and its refill
+  // guard would suppress read-ahead on the next pass over the file.
+  f.profile = {};
+  f.meta_stale = true;
+}
 
 std::optional<vfs::Attr> GvfsProxy::cached_attr_(const Fh& fh, SimTime now) {
-  auto it = attr_cache_.find(fh.key());
-  if (it == attr_cache_.end() || it->second.expires <= now) return std::nullopt;
-  it->second.lru_tick = ++attr_tick_;
-  return it->second.attr;
+  FileState* f = find_(fh.key());
+  if (f == nullptr || !f->attr || f->attr->expires <= now) return std::nullopt;
+  f->attr->lru_tick = ++attr_tick_;
+  return f->attr->attr;
 }
 
 void GvfsProxy::remember_attr_(const Fh& fh, const vfs::Attr& a, SimTime now) {
-  u64 key = fh.key();
-  if (auto it = attr_cache_.find(key); it != attr_cache_.end()) {
-    it->second = CachedAttr{a, now + cfg_.attr_ttl, ++attr_tick_};
-  } else {
-    if (attr_cache_.size() >= kAttrCacheEntries) {
-      // Bounded attr cache: evict the least-recently-touched entry. Linear
-      // scan — eviction only runs past the (large) bound, and ticks are
-      // unique, so the minimum is well defined and hash order cannot leak
-      // into behavior.
-      // gvfs-lint: allow(unordered-iteration) unique-min-tick scan; order cannot escape
-      auto victim = attr_cache_.begin();
-      // gvfs-lint: allow(unordered-iteration) unique-min-tick scan; order cannot escape
-      for (auto it2 = attr_cache_.begin(); it2 != attr_cache_.end(); ++it2) {
-        if (it2->second.lru_tick < victim->second.lru_tick) victim = it2;
+  FileState& f = file_(fh);
+  if (!f.attr && attr_cache_gauge_.value() >= kAttrCacheEntries) {
+    // Bounded attributes: drop the least-recently-touched. Linear scan —
+    // eviction only runs past the (large) bound, and ticks are unique, so
+    // the minimum is well defined and hash order cannot leak into behavior.
+    FileState* victim = nullptr;
+    // gvfs-lint: allow(unordered-iteration) unique-min-tick scan; order cannot escape
+    for (auto& entry : files_) {
+      FileState& g = entry.second;
+      if (g.attr && (victim == nullptr || g.attr->lru_tick < victim->attr->lru_tick)) {
+        victim = &g;
       }
-      attr_cache_.erase(victim);
-      attr_evictions_.inc();
     }
-    attr_cache_.emplace(key, CachedAttr{a, now + cfg_.attr_ttl, ++attr_tick_});
+    drop_attr_(*victim);
+    attr_evictions_.inc();
   }
-  attr_gauge_sync_();
-  key_to_fh_[key] = fh;
+  if (!f.attr) attr_cache_gauge_.add(1);
+  f.attr = CachedAttr{a, now + cfg_.attr_ttl, ++attr_tick_};
+}
+
+void GvfsProxy::drop_attr_(FileState& f) {
+  if (!f.attr) return;
+  f.attr.reset();
+  attr_cache_gauge_.sub(1);
 }
 
 u64 GvfsProxy::effective_size_(const Fh& fh, const std::optional<vfs::Attr>& a) const {
-  u64 size = a ? a->size : 0;
-  auto it = size_override_.find(fh.key());
-  if (it != size_override_.end()) size = std::max(size, it->second);
-  return size;
+  const u64 size = a ? a->size : 0;
+  const FileState* f = find_(fh.key());
+  return f == nullptr ? size : std::max(size, f->staged_size);
 }
 
 // -------------------------------------------------------------- meta-data --
@@ -185,31 +185,27 @@ u64 GvfsProxy::effective_size_(const Fh& fh, const std::optional<vfs::Attr>& a) 
 const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
                                            const rpc::Credential& cred) {
   if (!cfg_.enable_meta) return nullptr;
-  u64 key = fh.key();
-  auto hit = metas_.find(key);
-  if (hit != metas_.end()) return &hit->second;
-  if (meta_negative_.count(key) != 0) return nullptr;
-  auto parent = parents_.find(key);
-  if (parent == parents_.end()) {
-    meta_negative_.insert(key);
+  FileState& f = file_(fh);
+  if (f.meta) return &*f.meta;
+  if (f.meta_probed || !f.parent) {
+    f.meta_probed = true;
     return nullptr;
   }
+  // The probe below yields: each outcome finds the record again.
+  auto none = [&]() -> const meta::MetaFile* {
+    file_(fh).meta_probed = true;
+    return nullptr;
+  };
 
   // Probe for "<dir>/.<name>.gvfsmeta" upstream.
   auto largs = std::make_shared<nfs::LookupArgs>();
-  largs->dir = parent->second.dir;
-  largs->name = meta::MetaFile::meta_name_for(parent->second.name);
+  largs->dir = f.parent->dir;
+  largs->name = meta::MetaFile::meta_name_for(f.parent->name);
   auto lres = upstream_as_<nfs::LookupRes>(p, Proc::kLookup, largs, cred);
-  if (!lres.is_ok() || (*lres)->status != NfsStat::kOk) {
-    meta_negative_.insert(key);
-    return nullptr;
-  }
+  if (!lres.is_ok() || (*lres)->status != NfsStat::kOk) return none();
   Fh meta_fh = (*lres)->fh;
   u64 meta_size = (*lres)->obj_attr.attr ? (*lres)->obj_attr.attr->size : 0;
-  if (meta_size == 0 || meta_size > 64_MiB) {
-    meta_negative_.insert(key);
-    return nullptr;
-  }
+  if (meta_size == 0 || meta_size > 64_MiB) return none();
 
   // Read the whole (small) meta-data file over the block channel.
   blob::ExtentStore content;
@@ -221,8 +217,7 @@ const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
     rargs->count = static_cast<u32>(std::min<u64>(cfg_.fetch_block, meta_size - off));
     auto rres = upstream_as_<nfs::ReadRes>(p, Proc::kRead, rargs, cred);
     if (!rres.is_ok() || (*rres)->status != NfsStat::kOk || (*rres)->count == 0) {
-      meta_negative_.insert(key);
-      return nullptr;
+      return none();
     }
     content.write_blob(off, (*rres)->data, 0, (*rres)->count);
     off += (*rres)->count;
@@ -231,12 +226,12 @@ const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
   auto parsed = meta::MetaFile::parse(*content.snapshot());
   if (!parsed.is_ok()) {
     GVFS_WARN("proxy") << cfg_.name << ": malformed meta-data file ignored";
-    meta_negative_.insert(key);
-    return nullptr;
+    return none();
   }
-  auto [it, inserted] = metas_.emplace(key, std::move(parsed).value());
-  (void)inserted;
-  return &it->second;
+  FileState& g = file_(fh);
+  g.meta_probed = true;
+  if (!g.meta) g.meta = std::move(parsed).value();
+  return &*g.meta;
 }
 
 // ------------------------------------------------------------ block cache --
@@ -265,18 +260,15 @@ Result<blob::BlobRef> GvfsProxy::get_block_(sim::Process& p, const Fh& fh, u64 b
   }
   if (tracer_) tracer_->annotate(&p, cfg_.name, "block_cache_miss", p.now());
 
-  if (cfg_.dedup_blocks && cfg_.enable_meta && !dedup_written_.contains(fh.key())) {
+  if (const FileState* f = find_(fh.key());
+      dedups_() && f != nullptr && f->meta && !f->meta_stale) {
     // Content-addressed probe: if this file's meta-data carries a
     // fingerprint table at our fetch granularity, identical bytes already
     // resident under any other file/block are aliased locally instead of
     // fetched upstream (the dedup generalization of zero-block filtering).
-    // Files this session has written are excluded: the installed-image
-    // table can no longer vouch for the server's current bytes.
-    auto mit = metas_.find(fh.key());
-    if (mit != metas_.end() && mit->second.has_fingerprints() &&
-        mit->second.fp_block_size() == cfg_.fetch_block &&
-        mit->second.fp_seed() == block_cache_->config().dedup_seed) {
-      const meta::MetaFile& m = mit->second;
+    const meta::MetaFile& m = *f->meta;
+    if (m.has_fingerprints() && m.fp_block_size() == cfg_.fetch_block &&
+        m.fp_seed() == block_cache_->config().dedup_seed) {
       u64 off = block * cfg_.fetch_block;
       if (off < m.file_size()) {
         u64 len = std::min<u64>(cfg_.fetch_block, m.file_size() - off);
@@ -341,7 +333,7 @@ Result<blob::BlobRef> GvfsProxy::fetch_block_upstream_(sim::Process& p, const Fh
 
 void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
                                 u64 file_size, const rpc::Credential& cred) {
-  AccessProfile& prof = profiles_[fh.key()];
+  AccessProfile& prof = file_(fh).profile;
   if (prof.last_block != ~u64{0} && block == prof.last_block + 1) {
     ++prof.run;
   } else if (block != prof.last_block) {
@@ -398,11 +390,10 @@ void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
 
 Status GvfsProxy::cache_writeback_(sim::Process& p, const cache::BlockId& id,
                                    const blob::BlobRef& data) {
-  auto it = key_to_fh_.find(id.file_key);
-  if (it == key_to_fh_.end()) return err(ErrCode::kStale, "writeback: unknown fh");
-  // Copy the handle out of the map: the upstream WRITE below yields, and a
-  // concurrent insert (rehash) or drop_soft_state() invalidates `it`.
-  const nfs::Fh fh = it->second;
+  const FileState* f = find_(id.file_key);
+  if (f == nullptr) return err(ErrCode::kStale, "writeback: unknown fh");
+  // Copy the handle out of the record: the upstream WRITE below yields.
+  const nfs::Fh fh = f->fh;
   // These bytes are now the newest for their key: they replace whatever the
   // log held there, parked copies included, so a reconnect replay (possibly
   // triggered by this very write-back landing) cannot put older bytes back.
@@ -667,17 +658,14 @@ Status GvfsProxy::replay_parked_(sim::Process& p) {
       }
     }
     for (u64 k : fence_keys) {
-      if (auto held = held_leases_.find(k);
-          held != held_leases_.end() &&
-          held->second.mode == nfs::LeaseMode::kWrite &&
-          held->second.expiry > p.now()) {
+      const FileState* f = find_(k);
+      if (f == nullptr || (f->lease && f->lease->mode == nfs::LeaseMode::kWrite &&
+                           f->lease->expiry > p.now())) {
         continue;
       }
-      auto fh_it = key_to_fh_.find(k);
-      if (fh_it == key_to_fh_.end()) continue;
+      const nfs::Fh fh = f->fh;  // copy: ensure_lease_ yields
       lease_fences_.inc();
-      Status fs =
-          ensure_lease_(p, fh_it->second, nfs::LeaseMode::kWrite, session_cred_);
+      Status fs = ensure_lease_(p, fh, nfs::LeaseMode::kWrite, session_cred_);
       if (!fs.is_ok()) {
         // Cannot re-establish ownership: abort the replay and stay
         // degraded; the next reconnect signal (or upstream success) retries.
@@ -803,6 +791,18 @@ void GvfsProxy::drop_staged_(u64 file_key, u64 size) {
   }
 }
 
+u64 GvfsProxy::meta_files_loaded() const {
+  auto loaded = [](const auto& e) { return e.second.meta.has_value(); };
+  // gvfs-lint: allow(unordered-iteration) commutative count; order cannot escape
+  return static_cast<u64>(std::count_if(files_.begin(), files_.end(), loaded));
+}
+
+std::size_t GvfsProxy::held_lease_count() const {
+  auto held = [](const auto& e) { return e.second.lease.has_value(); };
+  // gvfs-lint: allow(unordered-iteration) commutative count; order cannot escape
+  return static_cast<std::size_t>(std::count_if(files_.begin(), files_.end(), held));
+}
+
 u64 GvfsProxy::pending_writebacks() const {
   return static_cast<u64>(std::count_if(log_.begin(), log_.end(),
                                         [](const auto& e) { return e.second.parked; }));
@@ -824,58 +824,48 @@ void GvfsProxy::note_upstream_timeout_(SimTime now) {
 }
 
 std::optional<vfs::Attr> GvfsProxy::stale_attr_(const nfs::Fh& fh) {
-  auto it = attr_cache_.find(fh.key());
-  if (it == attr_cache_.end()) return std::nullopt;
-  it->second.lru_tick = ++attr_tick_;
+  FileState* f = find_(fh.key());
+  if (f == nullptr || !f->attr) return std::nullopt;
+  f->attr->lru_tick = ++attr_tick_;
   // Remember that this answer may be a lie: signal_reconnect re-probes every
-  // key served stale so a remote change mid-outage cannot linger until the
+  // file served stale so a remote change mid-outage cannot linger until the
   // TTL happens to expire.
-  if (upstream_down_) stale_served_.insert(fh.key());
-  return it->second.attr;
+  if (upstream_down_) f->stale_served = true;
+  return f->attr->attr;
 }
 
 Status GvfsProxy::revalidate_stale_attrs_(sim::Process& p) {
-  if (stale_served_.empty()) return Status::ok();
-  // gvfs-lint: allow(unordered-iteration) keys are sorted on the next line before any use
-  std::vector<u64> keys(stale_served_.begin(), stale_served_.end());
+  std::vector<u64> keys;
+  // gvfs-lint: allow(unordered-iteration) keys are sorted right after the scan, before any use
+  for (auto& [key, f] : files_) {
+    if (!f.stale_served) continue;
+    f.stale_served = false;
+    keys.push_back(key);
+  }
   std::sort(keys.begin(), keys.end());
-  stale_served_.clear();
   for (u64 k : keys) {
-    auto fh_it = key_to_fh_.find(k);
-    if (fh_it == key_to_fh_.end()) continue;
-    const nfs::Fh fh = fh_it->second;  // copy: the GETATTR below yields
-    std::optional<vfs::Attr> old;
-    if (auto it = attr_cache_.find(k); it != attr_cache_.end()) old = it->second.attr;
+    const FileState& f = files_.at(k);
+    const nfs::Fh fh = f.fh;  // copy: the GETATTR below yields
+    const u64 old_size = f.attr ? f.attr->attr.size : 0;
 
     auto gargs = std::make_shared<nfs::GetattrArgs>();
     gargs->fh = fh;
     auto gres = upstream_as_<nfs::GetattrRes>(p, Proc::kGetattr, gargs, session_cred_);
     if (!gres.is_ok()) return gres.status();
     if ((*gres)->status != NfsStat::kOk) {
-      // The file vanished during the outage: drop every local trace.
-      if (block_cache_ != nullptr) block_cache_->invalidate_file(k);
-      if (file_cache_ != nullptr) file_cache_->invalidate(k);
-      attr_cache_.erase(k);
-      attr_gauge_sync_();
-      size_override_.erase(k);
+      forget_(files_.at(k));  // the file vanished during the outage
       continue;
     }
     const vfs::Attr fresh = (*gres)->attr.a;
     attr_revalidations_.inc();
-    const u64 old_size = old ? old->size : 0;
     if (fresh.size < old_size) {
       // A remote truncate happened mid-outage: cached frames and staged
       // sizes describe the pre-outage file. Push any locally dirtied blocks
-      // first (last-writer-wins, same promise replay makes), then drop.
+      // first (last-writer-wins, same promise replay makes), then forget
+      // the file; the write-back may have re-extended it, so the next
+      // answer comes from a fresh probe.
       GVFS_RETURN_IF_ERROR(write_back_(p, k));
-      if (block_cache_ != nullptr) block_cache_->invalidate_file(k);
-      if (file_cache_ != nullptr) file_cache_->invalidate(k);
-      size_override_.erase(k);
-      profiles_.erase(k);
-      // The write-back above may have re-extended the file; trust a fresh
-      // probe next time rather than the pre-flush answer.
-      attr_cache_.erase(k);
-      attr_gauge_sync_();
+      forget_(files_.at(k));
       continue;
     }
     remember_attr_(fh, fresh, p.now());
@@ -889,26 +879,19 @@ std::shared_ptr<nfs::LookupRes> GvfsProxy::degraded_lookup_(
   // scan: the learned set is small — files the session actually touched).
   // If a name was relearned under a new handle there can be two matches;
   // pick the smallest key so the answer never depends on hash order.
-  bool found = false;
-  u64 best_key = 0;
+  const FileState* best = nullptr;
   // gvfs-lint: allow(unordered-iteration) commutative min-key scan; order cannot escape
-  for (const auto& [key, link] : parents_) {
-    if (link.dir.key() != a.dir.key() || link.name != a.name) continue;
-    if (!found || key < best_key) {
-      found = true;
-      best_key = key;
+  for (const auto& [key, f] : files_) {
+    if (!f.parent || f.parent->dir.key() != a.dir.key() || f.parent->name != a.name) {
+      continue;
     }
+    if (best == nullptr || key < best->fh.key()) best = &f;
   }
-  if (found) {
-    auto fh_it = key_to_fh_.find(best_key);
-    if (fh_it != key_to_fh_.end()) {
-      auto res = std::make_shared<nfs::LookupRes>();
-      res->fh = fh_it->second;
-      if (auto attr = stale_attr_(fh_it->second)) res->obj_attr.attr = *attr;
-      return res;
-    }
-  }
-  return nullptr;
+  if (best == nullptr) return nullptr;
+  auto res = std::make_shared<nfs::LookupRes>();
+  res->fh = best->fh;
+  if (auto attr = stale_attr_(best->fh)) res->obj_attr.attr = *attr;
+  return res;
 }
 
 // ------------------------------------------------------------------ leases --
@@ -916,10 +899,9 @@ std::shared_ptr<nfs::LookupRes> GvfsProxy::degraded_lookup_(
 Status GvfsProxy::ensure_lease_(sim::Process& p, const Fh& fh, nfs::LeaseMode mode,
                                 const rpc::Credential& cred) {
   if (!cfg_.enable_leases || lease_unsupported_) return Status::ok();
-  u64 key = fh.key();
-  if (auto it = held_leases_.find(key);
-      it != held_leases_.end() && it->second.expiry > p.now() &&
-      (it->second.mode == nfs::LeaseMode::kWrite || it->second.mode == mode)) {
+  if (const FileState* f = find_(fh.key());
+      f != nullptr && f->lease && f->lease->expiry > p.now() &&
+      (f->lease->mode == nfs::LeaseMode::kWrite || f->lease->mode == mode)) {
     return Status::ok();
   }
   for (u32 attempt = 0; attempt <= kLeaseMaxRetries; ++attempt) {
@@ -942,7 +924,7 @@ Status GvfsProxy::ensure_lease_(sim::Process& p, const Fh& fh, nfs::LeaseMode mo
       return err((*lres)->status, "lease acquire");
     }
     if ((*lres)->granted) {
-      held_leases_[key] = HeldLease{mode, (*lres)->expiry};
+      file_(fh).lease = HeldLease{mode, (*lres)->expiry};
       leases_acquired_.inc();
       if (tracer_) tracer_->annotate(&p, cfg_.name, "lease_granted", p.now());
       return Status::ok();
@@ -969,20 +951,16 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
   if (tracer_) tracer_->annotate(&p, cfg_.name, "lease_recall", p.now());
 
   // Flush the file's dirty state through the existing write-back machinery,
-  // then drop every cached copy: the contender may write the moment our
-  // reply lands, so anything kept here would go stale silently.
+  // then forget the file: the contender may write the moment our reply
+  // lands, so anything kept here would go stale silently.
   bool flushed = write_back_(p, key).is_ok();
-  if (block_cache_ != nullptr) block_cache_->invalidate_file(key);
-  if (file_cache_ != nullptr && file_cache_->contains(key)) {
-    Status st = file_cache_->write_back_all(p);
-    if (!st.is_ok()) flushed = false;
-    file_cache_->invalidate(key);
+  if (file_cache_ != nullptr && file_cache_->contains(key) &&
+      !file_cache_->write_back_all(p).is_ok()) {
+    flushed = false;
   }
-  attr_cache_.erase(key);
-  attr_gauge_sync_();
-  size_override_.erase(key);
-  profiles_.erase(key);
-  held_leases_.erase(key);
+  FileState& f = file_(a->fh);
+  forget_(f);
+  f.lease.reset();
   res->status = NfsStat::kOk;
   res->flushed = flushed;
   return rpc::make_reply(call, res);
@@ -1041,8 +1019,7 @@ rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
       if (a && reply.status.is_ok()) {
         if (auto res = rpc::message_cast<nfs::LookupRes>(reply.result);
             res && res->status == NfsStat::kOk) {
-          parents_[res->fh.key()] = ParentLink{a->dir, a->name};
-          key_to_fh_[res->fh.key()] = res->fh;
+          file_(res->fh).parent = ParentLink{a->dir, a->name};
           if (res->obj_attr.attr) remember_attr_(res->fh, *res->obj_attr.attr, p.now());
         }
       } else if (a && cfg_.degraded_mode &&
@@ -1057,8 +1034,7 @@ rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
       if (a && reply.status.is_ok()) {
         if (auto res = rpc::message_cast<nfs::CreateRes>(reply.result);
             res && res->status == NfsStat::kOk) {
-          parents_[res->fh.key()] = ParentLink{a->dir, a->name};
-          key_to_fh_[res->fh.key()] = res->fh;
+          file_(res->fh).parent = ParentLink{a->dir, a->name};
           if (res->attr.attr) remember_attr_(res->fh, *res->attr.attr, p.now());
         }
       }
@@ -1074,7 +1050,7 @@ rpc::RpcReply GvfsProxy::handle_read_(sim::Process& p, const rpc::RpcCall& call,
                                       const nfs::ReadArgs& a) {
   // gvfs-lint: allow(yield-stale-ref) session_cred_ is a plain member, not a container element; its address is stable for the proxy's lifetime
   const rpc::Credential& cred = session_cred_;
-  key_to_fh_[a.fh.key()] = a.fh;
+  file_(a.fh);  // from here on the block cache's write-back can find the handle
   if (cfg_.enable_leases && !upstream_down_) {
     // Best-effort read lease: holding one means a future writer's recall
     // reaches us before our cached copies go stale. Failure (conflict that
@@ -1118,7 +1094,7 @@ rpc::RpcReply GvfsProxy::handle_read_(sim::Process& p, const rpc::RpcCall& call,
   }
 
   // ---- zero-block filtering ------------------------------------------------
-  if (meta != nullptr && meta->has_zero_map() &&
+  if (meta != nullptr && !file_(a.fh).meta_stale && meta->has_zero_map() &&
       meta->range_is_zero(a.offset, a.count)) {
     zero_filtered_.inc();
     if (tracer_) tracer_->annotate(&p, cfg_.name, "zero_filtered", p.now());
@@ -1220,12 +1196,9 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
                                        const nfs::WriteArgs& a) {
   // gvfs-lint: allow(yield-stale-ref) session_cred_ is a plain member, not a container element; its address is stable for the proxy's lifetime
   const rpc::Credential& cred = session_cred_;
-  key_to_fh_[a.fh.key()] = a.fh;
-  u64 key = a.fh.key();
-  // The fingerprint table describes the image as installed; once this
-  // session writes the file, the table can no longer prove that a resident
-  // twin equals the server's current bytes, so the dedup probe stands down.
-  if (cfg_.dedup_blocks) dedup_written_.insert(key);
+  const u64 key = a.fh.key();
+  // The zero map and fingerprint table no longer vouch for the file's bytes.
+  file_(a.fh).meta_stale = true;
 
   if (cfg_.enable_leases) {
     Status ls = ensure_lease_(p, a.fh, nfs::LeaseMode::kWrite, cred);
@@ -1248,13 +1221,14 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
     if (!st.is_ok()) return rpc::make_error_reply(call, st);
     writes_absorbed_.inc();
     if (tracer_) tracer_->annotate(&p, cfg_.name, "write_absorbed", p.now());
-    size_override_[key] = std::max(effective_size_(a.fh, cached_attr_(a.fh, p.now())),
-                                   a.offset + a.count);
+    const u64 staged =
+        std::max(effective_size_(a.fh, cached_attr_(a.fh, p.now())), a.offset + a.count);
+    file_(a.fh).staged_size = staged;
     auto res = std::make_shared<nfs::WriteRes>();
     res->count = a.count;
     res->committed = nfs::StableHow::kFileSync;
     if (auto attr = cached_attr_(a.fh, p.now())) {
-      attr->size = size_override_[key];
+      attr->size = staged;
       attr->mtime = p.now();
       res->attr.attr = *attr;
     }
@@ -1272,13 +1246,13 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
           res && res->status == NfsStat::kOk) {
         block_cache_->invalidate_file(key);
         if (res->attr.attr) remember_attr_(a.fh, *res->attr.attr, p.now());
-        size_override_.erase(key);
+        file_(a.fh).staged_size = 0;
       }
     } else if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
       // Degraded write-through: acknowledge locally, park for replay.
       stage_(a.fh, {key, a.offset}, a.data, /*parked=*/true);
       block_cache_->invalidate_file(key);
-      size_override_[key] =
+      file_(a.fh).staged_size =
           std::max(effective_size_(a.fh, cached_attr_(a.fh, p.now())),
                    a.offset + a.count);
       auto res = std::make_shared<nfs::WriteRes>();
@@ -1324,7 +1298,8 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
       if (!st.is_ok()) return rpc::make_error_reply(call, st);
     }
   }
-  size_override_[key] = std::max(known, end);
+  const u64 staged = std::max(known, end);
+  file_(a.fh).staged_size = staged;
   writes_absorbed_.inc();
   if (tracer_) tracer_->annotate(&p, cfg_.name, "write_absorbed", p.now());
 
@@ -1333,7 +1308,7 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
   res->committed = nfs::StableHow::kFileSync;
   if (attr) {
     vfs::Attr out = *attr;
-    out.size = size_override_[key];
+    out.size = staged;
     out.mtime = p.now();
     remember_attr_(a.fh, out, p.now());
     res->attr.attr = out;
@@ -1343,7 +1318,7 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
 
 rpc::RpcReply GvfsProxy::handle_getattr_(sim::Process& p, const rpc::RpcCall& call,
                                          const nfs::GetattrArgs& a) {
-  key_to_fh_[a.fh.key()] = a.fh;
+  file_(a.fh);
   std::optional<vfs::Attr> attr = cached_attr_(a.fh, p.now());
   if (!attr && cfg_.degraded_mode && upstream_down_) attr = stale_attr_(a.fh);
   if (!attr) {
@@ -1413,10 +1388,8 @@ rpc::RpcReply GvfsProxy::handle_setattr_(sim::Process& p, const rpc::RpcCall& ca
     // the truncate, so sends already carrying them are waited out and the
     // rest dropped. Writes keep arriving while this waits, so write-back and
     // wait repeat until one yield-free check finds no dirty frame and no
-    // send in flight; only then is the file's cached state dropped. The
-    // file's read-ahead window no longer describes cached blocks either.
+    // send in flight; only then is the file forgotten.
     const u64 size = a.sattr.sa.size;
-    if (cfg_.dedup_blocks) dedup_written_.insert(key);  // fp table now stale
     drop_staged_(key, size);
     auto sending = [&] {
       for (auto it = log_.lower_bound({key, 0});
@@ -1436,12 +1409,7 @@ rpc::RpcReply GvfsProxy::handle_setattr_(sim::Process& p, const rpc::RpcCall& ca
       }
     }
     drop_staged_(key, size);
-    if (block_cache_ != nullptr) block_cache_->invalidate_file(key);
-    if (file_cache_ != nullptr) file_cache_->invalidate(key);
-    size_override_.erase(key);
-    attr_cache_.erase(key);
-    attr_gauge_sync_();
-    profiles_.erase(key);
+    forget_(file_(a.fh));
   }
   rpc::RpcReply reply = forward_(p, call);
   if (reply.status.is_ok()) {
@@ -1469,31 +1437,26 @@ Status GvfsProxy::signal_write_back(sim::Process& p) {
 }
 
 void GvfsProxy::drop_soft_state() {
-  attr_cache_.clear();
-  attr_gauge_sync_();
-  stale_served_.clear();
-  size_override_.clear();
-  metas_.clear();
-  meta_negative_.clear();
-  // Stale ahead_until/run would make the refill guard suppress read-ahead
-  // on the next cold pass over the same file.
-  profiles_.clear();
+  // gvfs-lint: allow(unordered-iteration) each record is reset alone; order cannot escape
+  for (auto& entry : files_) {
+    FileState& f = entry.second;
+    f.attr.reset();
+    f.stale_served = false;
+    f.staged_size = 0;
+    f.meta_probed = false;
+    f.meta.reset();
+    // A stale ahead_until/run would make the refill guard suppress
+    // read-ahead on the next cold pass over the same file.
+    f.profile = {};
+  }
+  attr_cache_gauge_.set(0);
 }
 
 Status GvfsProxy::signal_flush(sim::Process& p) {
   GVFS_RETURN_IF_ERROR(signal_write_back(p));
   if (block_cache_ != nullptr) block_cache_->invalidate_all();
   if (file_cache_ != nullptr) file_cache_->invalidate_all();
-  attr_cache_.clear();
-  attr_gauge_sync_();
-  stale_served_.clear();
-  size_override_.clear();
-  metas_.clear();
-  meta_negative_.clear();
-  // Everything cached was just invalidated: a profile's read-ahead window
-  // refers to blocks that no longer exist, so reset it or the refill guard
-  // degrades the next session to synchronous single-block misses.
-  profiles_.clear();
+  drop_soft_state();
   return Status::ok();
 }
 

@@ -16,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cache/block_cache.h"
@@ -61,15 +60,6 @@ struct ProxyConfig {
   // mid-flush and the whole file is re-sent. Off by default — the write
   // path stays byte-identical to the synchronous proxy.
   bool async_writeback = false;
-
-  // Content-addressed block dedup: when a meta-data file carries a
-  // per-block fingerprint table at this proxy's fetch granularity, a cache
-  // miss first probes the block cache's dedup store — identical bytes
-  // already resident under any other file/block are aliased locally (one
-  // shared resident copy, copy-on-write on dirty) instead of fetched
-  // upstream. Requires the attached cache's dedup_blocks too. Off by
-  // default — the miss path stays byte-identical to the pre-dedup proxy.
-  bool dedup_blocks = false;
 
   // Delegation-style leases (DESIGN.md §5.10): acquire a write lease from
   // the origin before a WRITE is absorbed or forwarded, a read lease before
@@ -134,10 +124,14 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] u64 reads_served_from_file_cache() const { return file_hits_.value(); }
   [[nodiscard]] u64 zero_filtered_reads() const { return zero_filtered_.value(); }
   [[nodiscard]] u64 writes_absorbed() const { return writes_absorbed_.value(); }
-  [[nodiscard]] u64 meta_files_loaded() const { return metas_.size(); }
+  [[nodiscard]] u64 meta_files_loaded() const;
   [[nodiscard]] u64 blocks_prefetched() const { return blocks_prefetched_.value(); }
   // Cache misses served by aliasing identical resident bytes (no upstream
-  // fetch); see ProxyConfig::dedup_blocks.
+  // fetch). When the attached block cache dedups (BlockCacheConfig::
+  // dedup_blocks) and a file's meta-data carries a per-block fingerprint
+  // table at this proxy's fetch granularity, a miss first probes the cache's
+  // dedup store: identical bytes already resident under any other file or
+  // block are aliased locally instead of fetched upstream.
   [[nodiscard]] u64 dedup_filtered_reads() const { return dedup_filtered_.value(); }
 
   // ---- lease metrics -------------------------------------------------------
@@ -146,10 +140,10 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] u64 lease_acquire_failures() const { return lease_acquire_failures_.value(); }
   [[nodiscard]] u64 recalls_served() const { return recalls_served_.value(); }
   [[nodiscard]] u64 lease_fences() const { return lease_fences_.value(); }
-  [[nodiscard]] std::size_t held_lease_count() const { return held_leases_.size(); }
+  [[nodiscard]] std::size_t held_lease_count() const;
 
   // ---- attr-cache metrics --------------------------------------------------
-  [[nodiscard]] std::size_t attr_cache_size() const { return attr_cache_.size(); }
+  [[nodiscard]] std::size_t attr_cache_size() const { return attr_cache_gauge_.value(); }
   [[nodiscard]] u64 attr_evictions() const { return attr_evictions_.value(); }
   [[nodiscard]] u64 attr_revalidations() const { return attr_revalidations_.value(); }
 
@@ -178,8 +172,9 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] SimDuration outage_time() const { return outage_total_; }
   // Duration of the last outage, first timeout -> queue fully replayed.
   [[nodiscard]] SimDuration last_recovery_time() const { return last_recovery_time_; }
-  void reset_stats();
 
+  // Call after attach_block_cache: the dedup counter is registered only
+  // when the attached cache dedups.
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "calls_received", &calls_received_);
     r.register_counter(prefix + "calls_forwarded", &calls_forwarded_);
@@ -202,9 +197,7 @@ class GvfsProxy final : public rpc::RpcHandler {
     r.register_counter(prefix + "attr_evictions", &attr_evictions_);
     r.register_counter(prefix + "attr_revalidations", &attr_revalidations_);
     r.register_gauge(prefix + "attr_cache_entries", &attr_cache_gauge_);
-    if (cfg_.dedup_blocks) {
-      r.register_counter(prefix + "dedup_filtered_reads", &dedup_filtered_);
-    }
+    if (dedups_()) r.register_counter(prefix + "dedup_filtered_reads", &dedup_filtered_);
     if (cfg_.enable_leases) {
       r.register_counter(prefix + "leases_acquired", &leases_acquired_);
       r.register_counter(prefix + "lease_acquire_retries", &lease_acquire_retries_);
@@ -224,6 +217,60 @@ class GvfsProxy final : public rpc::RpcHandler {
     nfs::Fh dir;
     std::string name;
   };
+  struct CachedAttr {
+    vfs::Attr attr;
+    SimTime expires;
+    u64 lru_tick = 0;  // recency for bounded eviction (kAttrCacheEntries)
+  };
+  // Access profile: last block fetched and current sequential run length
+  // (the "dynamic profiling of application data access behavior" the
+  // paper's conclusions call for).
+  struct AccessProfile {
+    u64 last_block = ~u64{0};
+    u32 run = 0;
+    u64 ahead_until = 0;  // exclusive end of the prefetched window
+  };
+  struct HeldLease {
+    nfs::LeaseMode mode;
+    SimTime expiry;
+  };
+  // Everything the proxy knows about one file, keyed by fh.key(). One rule
+  // forgets a file (forget_); drop_soft_state() resets the soft fields of
+  // every record. Records are never erased: a parent link could not be
+  // relearned (the kernel client keeps its dentries, so it never LOOKUPs
+  // the name again), and without it the meta-data probe stops working.
+  struct FileState {
+    nfs::Fh fh;
+    std::optional<ParentLink> parent;  // learned from LOOKUP / CREATE
+    // At most kAttrCacheEntries records hold attributes; eviction drops
+    // only this field.
+    std::optional<CachedAttr> attr;
+    bool stale_served = false;  // attr answered past its TTL mid-outage
+    u64 staged_size = 0;        // size including absorbed writes (0: none)
+    bool meta_probed = false;   // the meta-data file was looked for
+    std::optional<meta::MetaFile> meta;
+    // The zero map and the fingerprint table describe the file as
+    // installed. Once a WRITE passes through or the file is forgotten
+    // (truncate, recall, reconnect) they no longer vouch for its bytes, so
+    // zero filtering and the dedup probe skip it for the proxy's lifetime.
+    bool meta_stale = false;
+    AccessProfile profile;
+    std::optional<HeldLease> lease;
+  };
+
+  // The record for `fh`, created on first use.
+  FileState& file_(const nfs::Fh& fh);
+  // The record for `key`, or null.
+  [[nodiscard]] FileState* find_(u64 key);
+  [[nodiscard]] const FileState* find_(u64 key) const;
+  // Drop the file's cached frames, whole-file copy, attributes, staged size
+  // and read-ahead window, and mark its meta-data stale. Callers write
+  // back first whatever must survive.
+  void forget_(FileState& f);
+  // The attached block cache interns clean blocks by content.
+  [[nodiscard]] bool dedups_() const {
+    return block_cache_ != nullptr && block_cache_->config().dedup_blocks;
+  }
 
   // -- upstream helpers ------------------------------------------------------
   rpc::RpcReply forward_(sim::Process& p, const rpc::RpcCall& call);
@@ -253,7 +300,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   Status ensure_lease_(sim::Process& p, const nfs::Fh& fh, nfs::LeaseMode mode,
                        const rpc::Credential& cred);
   // Server-initiated recall (callback program): flush the file's dirty
-  // state upstream, drop its cached frames and attrs, forget the lease.
+  // state upstream, forget the file and its lease.
   rpc::RpcReply handle_recall_(sim::Process& p, const rpc::RpcCall& call);
 
   // -- meta-data -------------------------------------------------------------
@@ -344,12 +391,12 @@ class GvfsProxy final : public rpc::RpcHandler {
   // Record an upstream timeout (opens an outage; replay_parked_ closes it).
   void note_upstream_timeout_(SimTime now);
   // Attribute lookup ignoring the TTL (stale is better than nothing while
-  // the upstream is unreachable). Keys served during an outage are recorded
-  // in stale_served_ for the reconnect-time re-probe.
+  // the upstream is unreachable). Files served during an outage are marked
+  // stale_served for the reconnect-time re-probe.
   [[nodiscard]] std::optional<vfs::Attr> stale_attr_(const nfs::Fh& fh);
-  // GETATTR re-probe of every key in stale_served_ (sorted, so the probe
-  // order is deterministic); a shrunken size means a remote truncate
-  // happened mid-outage and the file's cached state is dropped.
+  // GETATTR re-probe of every file marked stale_served (in key order, so
+  // the probe order is deterministic); a vanished file, or a shrunken size
+  // (a remote truncate mid-outage), forgets the file.
   Status revalidate_stale_attrs_(sim::Process& p);
   // LOOKUP served from the learned namespace during an outage (null = miss).
   [[nodiscard]] std::shared_ptr<nfs::LookupRes> degraded_lookup_(
@@ -358,7 +405,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] std::optional<vfs::Attr> cached_attr_(const nfs::Fh& fh,
                                                       SimTime now);
   void remember_attr_(const nfs::Fh& fh, const vfs::Attr& a, SimTime now);
-  void attr_gauge_sync_() { attr_cache_gauge_.set(attr_cache_.size()); }
+  void drop_attr_(FileState& f);
   [[nodiscard]] u64 effective_size_(const nfs::Fh& fh,
                                     const std::optional<vfs::Attr>& a) const;
 
@@ -370,29 +417,8 @@ class GvfsProxy final : public rpc::RpcHandler {
   std::function<rpc::Credential(const rpc::Credential&)> cred_mapper_;
   std::function<bool(const rpc::Credential&)> authorizer_;
 
-  struct CachedAttr {
-    vfs::Attr attr;
-    SimTime expires;
-    u64 lru_tick = 0;  // recency for bounded eviction (kAttrCacheEntries)
-  };
-  std::unordered_map<u64, CachedAttr> attr_cache_;          // fh.key()
-  std::unordered_map<u64, u64> size_override_;              // staged sizes
-  std::unordered_map<u64, ParentLink> parents_;             // fh.key() -> (dir, name)
-  std::unordered_map<u64, meta::MetaFile> metas_;           // fh.key()
-  std::unordered_set<u64> meta_negative_;                   // probed, none found
-  std::unordered_set<u64> dedup_written_;  // fh keys whose fp table went stale
-  std::unordered_map<u64, nfs::Fh> key_to_fh_;
+  std::unordered_map<u64, FileState> files_;  // fh.key()
   rpc::Credential session_cred_;  // per-session identity used upstream
-
-  // Access profile per file: last block fetched and current sequential run
-  // length (the "dynamic profiling of application data access behavior" the
-  // paper's conclusions call for).
-  struct AccessProfile {
-    u64 last_block = ~u64{0};
-    u32 run = 0;
-    u64 ahead_until = 0;  // exclusive end of the prefetched window
-  };
-  std::unordered_map<u64, AccessProfile> profiles_;
 
   // The pending-write log and its recency clock: every write entering the
   // log draws a stamp (and every requeue a fresh drain position) from one
@@ -433,11 +459,6 @@ class GvfsProxy final : public rpc::RpcHandler {
   metrics::Counter single_flight_waits_;
 
   // ---- lease state ---------------------------------------------------------
-  struct HeldLease {
-    nfs::LeaseMode mode;
-    SimTime expiry;
-  };
-  std::unordered_map<u64, HeldLease> held_leases_;  // fh.key()
   // Latched when the origin answers kNotSupported once (leases toggled off
   // upstream): every later ensure_lease_ becomes a free no-op.
   bool lease_unsupported_ = false;
@@ -449,10 +470,9 @@ class GvfsProxy final : public rpc::RpcHandler {
 
   // ---- attr-cache bound / reconnect revalidation ---------------------------
   u64 attr_tick_ = 0;
-  std::unordered_set<u64> stale_served_;  // keys served stale mid-outage
   metrics::Counter attr_evictions_;
   metrics::Counter attr_revalidations_;
-  metrics::Gauge attr_cache_gauge_;
+  metrics::Gauge attr_cache_gauge_;  // records holding attributes
 
   u32 next_xid_ = 0x70000000;
   metrics::Counter calls_received_;

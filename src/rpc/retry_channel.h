@@ -50,13 +50,6 @@ class RetryChannel final : public RpcChannel {
   [[nodiscard]] u64 retransmits() const { return retransmits_.value(); }  // calls reissued
   [[nodiscard]] u64 exhausted() const { return exhausted_.value(); }      // budget ran out
   [[nodiscard]] u64 xid_mismatches() const { return xid_mismatches_.value(); }
-  void reset_stats() {
-    timeouts_.reset();
-    retransmits_.reset();
-    exhausted_.reset();
-    xid_mismatches_.reset();
-    rto_wait_ms_.reset();
-  }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "timeouts", &timeouts_);

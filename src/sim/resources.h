@@ -51,10 +51,6 @@ class Link {
   [[nodiscard]] u64 bytes_sent() const { return bytes_sent_.value(); }
   [[nodiscard]] u64 messages() const { return messages_.value(); }
   [[nodiscard]] const std::string& name() const { return name_; }
-  void reset_stats() {
-    bytes_sent_.reset();
-    messages_.reset();
-  }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "bytes_sent", &bytes_sent_);
@@ -93,10 +89,6 @@ class DiskModel {
   [[nodiscard]] u64 ops() const { return ops_.value(); }
   [[nodiscard]] u64 bytes_moved() const { return bytes_moved_.value(); }
   [[nodiscard]] const DiskConfig& config() const { return cfg_; }
-  void reset_stats() {
-    ops_.reset();
-    bytes_moved_.reset();
-  }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "ops", &ops_);

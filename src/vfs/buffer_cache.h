@@ -90,11 +90,6 @@ class BufferCache {
   [[nodiscard]] u64 evictions() const { return evictions_.value(); }
   [[nodiscard]] u64 dirty_pages() const { return dirty_count_.value(); }
   [[nodiscard]] u64 resident_pages() const { return resident_; }
-  void reset_stats() {
-    hits_.reset();
-    misses_.reset();
-    evictions_.reset();
-  }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "hits", &hits_);

@@ -364,7 +364,6 @@ TEST(NfsClientServer, ServerAuthorizerPolicy) {
 TEST(NfsClientServer, ServerCountsProcedures) {
   Fixture f;
   ASSERT_TRUE(f.fs.put_file("/exports/r", blob::make_zero(64_KiB)).is_ok());
-  f.server.reset_stats();
   f.run([&](sim::Process& p, NfsClient& c) {
     ASSERT_OK(c.read(p, "/r", 0, 64_KiB));
   });

@@ -54,9 +54,14 @@ echo "== yield-model golden (may-yield set vs committed snapshot) =="
   --yield-model-golden "$repo_root/tools/lint/yield_model_golden.txt"
 
 # The invariance gate needs an unsanitized build (sanitizers perturb nothing
-# simulated, but keep the golden-hash environment identical to CI's).
+# simulated, but keep the golden-hash environment identical to CI's). It
+# leaves each bench's BENCH_<name>.json in its working directory, so it runs
+# in a scratch one: from the repo root it would rewrite the committed
+# reports with wall clocks from a host busy with sanitizer builds.
 echo "== stdout invariance (simulated benches, vs golden hashes) =="
-"$repo_root/tools/check_stdout_invariance.sh" "$prefix-bench"
+invariance_dir="$(mktemp -d)"
+trap 'rm -rf "$invariance_dir"' EXIT
+(cd "$invariance_dir" && "$repo_root/tools/check_stdout_invariance.sh" "$prefix-bench")
 
 # Turn every sanitizer finding into a hard failure: ASan exits non-zero on
 # its first report, UBSan aborts instead of printing-and-continuing.
