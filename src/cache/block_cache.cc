@@ -230,10 +230,8 @@ void ProxyDiskCache::touch_bank_(sim::Process& p, u32 set) {
   if (!bank_exists_[bank]) {
     bank_exists_[bank] = true;
     banks_created_.inc();
-    if (cfg_.charge_bank_creation) {
-      // Creating the bank file: one metadata journal write.
-      disk_.access(p, 4_KiB, sim::Locality::kSequential);
-    }
+    // Creating the bank file on first touch: one metadata journal write.
+    disk_.access(p, 4_KiB, sim::Locality::kSequential);
   }
 }
 
@@ -455,86 +453,52 @@ Result<blob::BlobRef> ProxyDiskCache::merge(sim::Process& p, const BlockId& id,
 }
 
 Status ProxyDiskCache::write_back_all(sim::Process& p) {
-  // Restart the scan whenever invalidate_all() freed the chunk storage while
-  // a write-back was in flight: frames flushed before the restart are no
-  // longer dirty, so the rescan converges.
-  for (bool restart = true; restart;) {
-    restart = false;
-    u64 epoch = structure_epoch_;
-    // gvfs-lint: allow(yield-index-loop) chunks_ is never resized; the epoch check below restarts the walk if invalidate_all() frees chunks mid-yield
-    for (std::size_t c = 0; c < chunks_.size() && !restart; ++c) {
-      if (!chunks_[c]) continue;
-      const std::size_t n = std::min<std::size_t>(
-          frames_per_chunk_, total_frames_ - c * frames_per_chunk_);
-      for (std::size_t i = 0; i < n; ++i) {
-        Frame& f = chunks_[c][i];
-        if (!f.valid || !f.dirty) continue;
-        writebacks_.inc();
-        if (!writeback_) {
-          f.dirty = false;
-          dirty_.sub(1);
-          continue;
-        }
-        // Copy the tag and payload handle before yielding: a concurrent
-        // insert/invalidate can evict or clear this frame mid-flush.
-        BlockId id = f.id;
-        blob::BlobRef data = f.data;
-        disk_.access(p, data ? data->size() : cfg_.block_size,
-                     sim::Locality::kSequential);
-        GVFS_RETURN_IF_ERROR(writeback_(p, id, data));
-        if (structure_epoch_ != epoch) {
-          restart = true;
-          break;
-        }
-        // Only clear the dirty bit if the frame still holds the bytes just
-        // written back: a write landing during the yield keeps it dirty.
-        Frame& g = chunks_[c][i];
-        if (g.valid && g.dirty && g.id == id && g.data == data) {
-          g.dirty = false;
-          dirty_.sub(1);
-        }
-      }
+  std::vector<BlockId> ids;
+  ids.reserve(dirty_.value());
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (!chunks_[c]) continue;
+    const std::size_t n = std::min<std::size_t>(
+        frames_per_chunk_, total_frames_ - c * frames_per_chunk_);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Frame& f = chunks_[c][i];
+      if (f.valid && f.dirty) ids.push_back(f.id);
     }
   }
-  return Status::ok();
+  return write_back_blocks_(p, ids);
 }
 
 Status ProxyDiskCache::write_back_file(sim::Process& p, u64 file_key) {
   auto it = file_head_.find(file_key);
   if (it == file_head_.end()) return Status::ok();
-  // Capture next before the callback: a write-back that recurses into the
-  // cache (e.g. an async flush enqueue evicting) must not invalidate the
-  // walk mid-list.
-  u32 idx = it->second;
-  u64 epoch = structure_epoch_;
-  while (idx != kNil) {
-    Frame& f = frame_at_(idx);
-    u32 next = f.file_next;
-    if (f.valid && f.dirty && !writeback_) {
-      writebacks_.inc();
-      f.dirty = false;
+  std::vector<BlockId> ids;
+  for (u32 idx = it->second; idx != kNil; idx = frame_at_(idx).file_next) {
+    if (frame_at_(idx).dirty) ids.push_back(frame_at_(idx).id);
+  }
+  return write_back_blocks_(p, ids);
+}
+
+Status ProxyDiskCache::write_back_blocks_(sim::Process& p, const std::vector<BlockId>& ids) {
+  for (const BlockId& id : ids) {
+    Frame* f = find_(id);
+    if (f == nullptr || !f->dirty) continue;  // evicted or cleaned meanwhile
+    writebacks_.inc();
+    if (!writeback_) {
+      f->dirty = false;
       dirty_.sub(1);
-    } else if (f.valid && f.dirty) {
-      writebacks_.inc();
-      // Copy the tag and payload handle before yielding: a concurrent
-      // insert/invalidate can evict or clear this frame mid-flush.
-      BlockId id = f.id;
-      blob::BlobRef data = f.data;
-      disk_.access(p, data ? data->size() : cfg_.block_size,
-                   sim::Locality::kSequential);
-      GVFS_RETURN_IF_ERROR(writeback_(p, id, data));
-      // invalidate_all() freed the chunks mid-flush: every remaining frame
-      // of this file is gone with them.
-      if (structure_epoch_ != epoch) return Status::ok();
-      // Only clear the dirty bit if the frame still holds the bytes just
-      // written back: a write landing during the yield keeps it dirty.
-      Frame& g = frame_at_(idx);
-      if (g.valid && g.dirty && g.id == id && g.data == data) {
-        g.dirty = false;
-        dirty_.sub(1);
-      }
+      continue;
     }
-    idx = next;
+    // Copy the payload handle before yielding: a concurrent insert or
+    // invalidate can evict or clear this frame mid-flush.
+    const blob::BlobRef data = f->data;
+    disk_.access(p, data ? data->size() : cfg_.block_size, sim::Locality::kSequential);
+    GVFS_RETURN_IF_ERROR(writeback_(p, id, data));
+    // Only clear the dirty bit if the frame still holds the bytes just
+    // written back: a write landing during the yield keeps it dirty.
+    Frame* g = find_(id);
+    if (g != nullptr && g->dirty && g->data == data) {
+      g->dirty = false;
+      dirty_.sub(1);
+    }
   }
   return Status::ok();
 }

@@ -32,8 +32,6 @@ struct BlockCacheConfig {
   u32 num_banks = 512;         // paper §4.1
   u32 associativity = 16;      // paper §4.1
   WritePolicy policy = WritePolicy::kWriteBack;
-  // Creating a bank file on first touch costs a metadata disk op.
-  bool charge_bank_creation = true;
   // Content-addressed dedup: clean blocks with identical bytes (by seeded
   // 64-bit fingerprint) share one resident payload across frames/files;
   // resident_bytes charges the shared copy once and a frame re-charges when
@@ -95,8 +93,8 @@ class ProxyDiskCache {
   // Middleware consistency signals (§3.2.1): write back all dirty blocks
   // (keeping them cached clean), or drop everything.
   Status write_back_all(sim::Process& p);
-  // Write back only one file's dirty blocks (honest COMMIT: O(file-resident)
-  // walk of the per-file frame list, blocks stay cached clean).
+  // Write back only one file's dirty blocks (an O(file-resident) walk of the
+  // per-file frame list; blocks stay cached clean).
   Status write_back_file(sim::Process& p, u64 file_key);
   void invalidate_all();  // drop without writeback (read-only session end)
   // Drop one file's blocks from `from_block` on, without writeback.
@@ -197,6 +195,10 @@ class ProxyDiskCache {
   [[nodiscard]] const Frame* find_(const BlockId& id) const;
   Frame* find_(const BlockId& id);
   Status evict_(sim::Process& p, Frame& victim, u32 idx);
+  // Write back the blocks of `ids` still dirty, in order. Each block is
+  // looked up before and after its yield; a frame rewritten meanwhile stays
+  // dirty.
+  Status write_back_blocks_(sim::Process& p, const std::vector<BlockId>& ids);
   void touch_bank_(sim::Process& p, u32 set);
   void link_file_(u32 idx);
   void unlink_file_(u32 idx);

@@ -11,14 +11,16 @@ const blob::BlobRef& FileCache::content_(Entry& e) {
 
 Status FileCache::evict_lru_(sim::Process& p) {
   if (lru_.empty()) return err(ErrCode::kNoSpc, "file cache thrashing");
-  Entry& victim = lru_.back();
-  if (victim.dirty && upload_) {
-    GVFS_RETURN_IF_ERROR(upload_(p, victim.key, content_(victim)));
-  }
+  const u64 key = lru_.back().key;
+  GVFS_RETURN_IF_ERROR(write_back(p, key));
+  // The upload yielded: find the victim again. One rewritten meanwhile stays
+  // (dirty), and put's loop picks again.
+  auto it = map_.find(key);
+  if (it == map_.end() || it->second->dirty) return Status::ok();
   evictions_.inc();
-  resident_bytes_.sub(victim.store.size());
-  map_.erase(victim.key);
-  lru_.pop_back();
+  resident_bytes_.sub(it->second->store.size());
+  lru_.erase(it->second);
+  map_.erase(it);
   return Status::ok();
 }
 
@@ -93,28 +95,32 @@ std::optional<u64> FileCache::cached_size(u64 file_key) const {
   return it->second->store.size();
 }
 
+Status FileCache::write_back(sim::Process& p, u64 file_key) {
+  auto it = map_.find(file_key);
+  if (it == map_.end() || !it->second->dirty) return Status::ok();
+  if (upload_) {
+    // Copy the content handle before the yields (re-read from the cache
+    // disk, then upload): the entry may be rewritten or invalidated meanwhile.
+    blob::BlobRef content = content_(*it->second);
+    disk_.access(p, content ? content->size() : 4_KiB, sim::Locality::kSequential);
+    GVFS_RETURN_IF_ERROR(upload_(p, file_key, content));
+    // A write during the upload nulled the snapshot: newer bytes wait for
+    // the next write-back.
+    it = map_.find(file_key);
+    if (it == map_.end() || it->second->snapshot != content) return Status::ok();
+  }
+  it->second->dirty = false;
+  return Status::ok();
+}
+
 Status FileCache::write_back_all(sim::Process& p) {
-  // Snapshot the dirty keys first: the upload below yields, and a concurrent
-  // invalidate would unlink the very list node the range-for is parked on.
+  // Snapshot the dirty keys first: each write-back yields, and a concurrent
+  // invalidate would unlink the list node a walk of lru_ is parked on.
   std::vector<u64> dirty_keys;
   for (const Entry& e : lru_) {
     if (e.dirty) dirty_keys.push_back(e.key);
   }
-  for (u64 key : dirty_keys) {
-    auto it = map_.find(key);
-    if (it == map_.end() || !it->second->dirty) continue;
-    if (upload_) {
-      // Copy the content handle before the yields (re-read from the cache
-      // disk, then upload); the entry may be invalidated meanwhile.
-      blob::BlobRef content = content_(*it->second);
-      disk_.access(p, content ? content->size() : 4_KiB,
-                   sim::Locality::kSequential);
-      GVFS_RETURN_IF_ERROR(upload_(p, key, content));
-      it = map_.find(key);
-      if (it == map_.end()) continue;
-    }
-    it->second->dirty = false;
-  }
+  for (u64 key : dirty_keys) GVFS_RETURN_IF_ERROR(write_back(p, key));
   return Status::ok();
 }
 

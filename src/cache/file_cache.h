@@ -37,6 +37,11 @@ class FileCache {
   [[nodiscard]] bool contains(u64 file_key) const {
     return map_.count(file_key) != 0;
   }
+  // Holds bytes not yet uploaded.
+  [[nodiscard]] bool dirty(u64 file_key) const {
+    auto it = map_.find(file_key);
+    return it != map_.end() && it->second->dirty;
+  }
 
   // Install a whole file (charges a sequential cache-disk write of its
   // size — the "uncompress into the file cache" step).
@@ -51,7 +56,11 @@ class FileCache {
 
   [[nodiscard]] std::optional<u64> cached_size(u64 file_key) const;
 
-  // Middleware signals.
+  // Upload one dirty file (cache-disk re-read, then the upload callback).
+  // The file stays dirty if a write lands during the upload. Every upload,
+  // eviction's included, goes through here.
+  Status write_back(sim::Process& p, u64 file_key);
+  // write_back() over every dirty file, most recent first.
   Status write_back_all(sim::Process& p);
   void invalidate(u64 file_key);
   void invalidate_all();
@@ -75,7 +84,9 @@ class FileCache {
     // A write splices into `store`; `snapshot` is the store as one
     // immutable blob, taken again only when the file is next read or
     // uploaded (null in between). Building a snapshot per write would
-    // nest each one inside the next, as deep as the writes are many.
+    // nest each one inside the next, as deep as the writes are many. An
+    // upload marks the file clean only if `snapshot` is still the blob it
+    // sent.
     blob::ExtentStore store;
     blob::BlobRef snapshot;
     bool dirty = false;

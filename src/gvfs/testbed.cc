@@ -254,8 +254,8 @@ const std::vector<u32>& Testbed::file_holders_(vfs::FileId id) const {
 void Testbed::build_lan_cache_node_() {
   lan_disk_ = std::make_unique<sim::DiskModel>(kernel_, "lan-cache-disk", opt_.net.disk);
   lan_scp_up_ = std::make_unique<ssh::Scp>(*wan_down_, opt_.net.wan_cipher);
-  lan_endpoint_ = std::make_unique<proxy::CachingFileEndpoint>(
-      *files_, *lan_scp_up_, *lan_disk_, opt_.file_cache_bytes);
+  lan_endpoint_ =
+      std::make_unique<proxy::CachingFileEndpoint>(*files_, *lan_scp_up_, *lan_disk_);
   // Content-addressed image sharing: clones of one golden image hold a
   // single compressed copy on the L2 disk.
   lan_endpoint_->set_dedup(opt_.dedup_blocks, opt_.block_cache.dedup_seed);
@@ -465,8 +465,7 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
         std::make_unique<cache::ProxyDiskCache>(*node->disk, node_cfg_.block_cache);
     node->client_proxy->attach_block_cache(*node->block_cache);
 
-    node->file_cache = std::make_unique<cache::FileCache>(
-        *node->disk, cache::FileCacheConfig{opt_.file_cache_bytes});
+    node->file_cache = std::make_unique<cache::FileCache>(*node->disk);
     node->scp = std::make_unique<ssh::Scp>(*node_cfg_.scp_link, node_cfg_.hop.cipher,
                                            opt_.file_channel_streams);
     node->file_channel = std::make_unique<meta::FileChannelClient>(

@@ -85,7 +85,6 @@ struct TestbedOptions {
   // NetProfile::gzip throughputs. Off by default.
   bool wire_compression = false;
   cache::BlockCacheConfig block_cache;  // client proxy cache geometry (§4.1)
-  u64 file_cache_bytes = 8_GiB;
   // §6 extensions: proxy read-ahead depth (0 = off) and GridFTP-style
   // parallel streams for file-channel transfers.
   u32 prefetch_depth = 0;

@@ -44,7 +44,7 @@ Status CachingFileEndpoint::pull_(sim::Process& p, vfs::FileId fileid) {
   // Compressed image crosses the WAN once, then lands on the LAN disk.
   scp_up_.transfer(p, img.compressed_size);
   disk_.access(p, img.compressed_size, sim::Locality::kSequential);
-  while (resident_.value() + img.compressed_size > capacity_ && !images_.empty()) {
+  while (resident_.value() + img.compressed_size > kCapacityBytes && !images_.empty()) {
     // Evict the smallest file id: unordered_map::begin() would pick a
     // hash-order (implementation-defined) victim, making eviction — and
     // every simulated timing downstream of it — non-reproducible.

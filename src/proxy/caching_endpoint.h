@@ -19,11 +19,14 @@ namespace gvfs::proxy {
 
 class CachingFileEndpoint final : public meta::RemoteFileEndpoint {
  public:
+  // Bound on the cached compressed images.
+  static constexpr u64 kCapacityBytes = 8_GiB;
+
   // `upstream` + `scp_up` reach the origin server; `disk` stores cached
-  // compressed images on this LAN server; `capacity` bounds them.
+  // compressed images on this LAN server.
   CachingFileEndpoint(meta::RemoteFileEndpoint& upstream, ssh::Scp& scp_up,
-                      sim::DiskModel& disk, u64 capacity_bytes = 8_GiB)
-      : upstream_(upstream), scp_up_(scp_up), disk_(disk), capacity_(capacity_bytes) {}
+                      sim::DiskModel& disk)
+      : upstream_(upstream), scp_up_(scp_up), disk_(disk) {}
 
   Result<meta::CompressedImage> fetch_compressed(sim::Process& p,
                                                  vfs::FileId fileid) override;
@@ -93,7 +96,6 @@ class CachingFileEndpoint final : public meta::RemoteFileEndpoint {
   meta::RemoteFileEndpoint& upstream_;
   ssh::Scp& scp_up_;
   sim::DiskModel& disk_;
-  u64 capacity_;
   std::unordered_map<vfs::FileId, meta::CompressedImage> images_;
   bool dedup_ = false;
   u64 dedup_seed_ = blob::kDefaultFingerprintSeed;

@@ -441,17 +441,48 @@ Status GvfsProxy::cache_writeback_(sim::Process& p, const cache::BlockId& id,
   return Status::ok();
 }
 
+Status GvfsProxy::sync_file_(sim::Process& p, u64 file_key) {
+  auto sending = [&] {
+    for (auto it = log_.lower_bound({file_key, 0});
+         it != log_.end() && it->first.first == file_key; ++it) {
+      if (it->second.sent != 0) return true;
+    }
+    return false;
+  };
+  // Writes keep arriving while this waits, so write-back and wait repeat
+  // until one yield-free check finds nothing left.
+  for (;;) {
+    GVFS_RETURN_IF_ERROR(write_back_(p, file_key));
+    if (sending()) {
+      if (!settled_) settled_ = std::make_unique<sim::Signal>(p.kernel(), cfg_.name + "-log");
+      p.wait(*settled_);
+    } else if ((block_cache_ == nullptr || block_cache_->file_dirty_blocks(file_key) == 0) &&
+               (file_cache_ == nullptr || !file_cache_->dirty(file_key))) {
+      return Status::ok();
+    }
+  }
+}
+
+bool GvfsProxy::has_staged_(u64 file_key) const {
+  auto it = log_.lower_bound({file_key, 0});
+  if (it != log_.end() && it->first.first == file_key) return true;
+  return block_cache_ != nullptr && block_cache_->file_dirty_blocks(file_key) != 0;
+}
+
 Status GvfsProxy::write_back_(sim::Process& p, std::optional<u64> file_key) {
-  if (block_cache_ == nullptr) return Status::ok();
-  // The caller needs the bytes upstream now: drain inline instead of racing
-  // a background flusher (sync_drain_ suppresses spawns from the evictions
-  // the write-back triggers).
-  sync_drain_ = true;
-  Status st = file_key ? block_cache_->write_back_file(p, *file_key)
-                       : block_cache_->write_back_all(p);
-  if (st.is_ok() && cfg_.async_writeback) st = drain_(p);
-  sync_drain_ = false;
-  return st;
+  if (block_cache_ != nullptr) {
+    // The caller needs the bytes upstream now: drain inline instead of
+    // racing a background flusher (sync_drain_ suppresses spawns from the
+    // evictions the write-back triggers).
+    sync_drain_ = true;
+    Status st = file_key ? block_cache_->write_back_file(p, *file_key)
+                         : block_cache_->write_back_all(p);
+    if (st.is_ok() && cfg_.async_writeback) st = drain_(p);
+    sync_drain_ = false;
+    GVFS_RETURN_IF_ERROR(st);
+  }
+  if (file_cache_ == nullptr) return Status::ok();
+  return file_key ? file_cache_->write_back(p, *file_key) : file_cache_->write_back_all(p);
 }
 
 // ------------------------------------------------------- pending-write log --
@@ -953,11 +984,7 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
   // Flush the file's dirty state through the existing write-back machinery,
   // then forget the file: the contender may write the moment our reply
   // lands, so anything kept here would go stale silently.
-  bool flushed = write_back_(p, key).is_ok();
-  if (file_cache_ != nullptr && file_cache_->contains(key) &&
-      !file_cache_->write_back_all(p).is_ok()) {
-    flushed = false;
-  }
+  const bool flushed = write_back_(p, key).is_ok();
   FileState& f = file_(a->fh);
   forget_(f);
   f.lease.reset();
@@ -1065,7 +1092,10 @@ rpc::RpcReply GvfsProxy::handle_read_(sim::Process& p, const rpc::RpcCall& call,
       file_cache_ != nullptr) {
     u64 key = a.fh.key();
     if (!file_cache_->contains(key)) {
-      Status st = file_channel_->fetch_into_cache(p, a.fh.fileid, key);
+      // The fetched copy would shadow bytes staged for the file: push them
+      // first. Only then: in async mode write_back_ drains every file.
+      Status st = has_staged_(key) ? sync_file_(p, key) : Status::ok();
+      if (st.is_ok()) st = file_channel_->fetch_into_cache(p, a.fh.fileid, key);
       if (!st.is_ok()) {
         GVFS_WARN("proxy") << cfg_.name << ": file channel failed ("
                            << st.to_string() << "), falling back to blocks";
@@ -1386,28 +1416,12 @@ rpc::RpcReply GvfsProxy::handle_setattr_(sim::Process& p, const rpc::RpcCall& ca
     // Truncation. Staged bytes below the new EOF were acknowledged, so they
     // reach the server first; staged bytes at or past it must not land after
     // the truncate, so sends already carrying them are waited out and the
-    // rest dropped. Writes keep arriving while this waits, so write-back and
-    // wait repeat until one yield-free check finds no dirty frame and no
-    // send in flight; only then is the file forgotten.
+    // rest dropped. Only once nothing of the file is staged or in flight is
+    // it forgotten.
     const u64 size = a.sattr.sa.size;
     drop_staged_(key, size);
-    auto sending = [&] {
-      for (auto it = log_.lower_bound({key, 0});
-           it != log_.end() && it->first.first == key; ++it) {
-        if (it->second.sent != 0) return true;
-      }
-      return false;
-    };
-    for (;;) {
-      Status st = write_back_(p, key);
-      if (!st.is_ok()) return rpc::make_error_reply(call, st);
-      if (sending()) {
-        if (!settled_) settled_ = std::make_unique<sim::Signal>(p.kernel(), cfg_.name + "-log");
-        p.wait(*settled_);
-      } else if (block_cache_ == nullptr || block_cache_->file_dirty_blocks(key) == 0) {
-        break;
-      }
-    }
+    Status st = sync_file_(p, key);
+    if (!st.is_ok()) return rpc::make_error_reply(call, st);
     drop_staged_(key, size);
     forget_(file_(a.fh));
   }
@@ -1428,13 +1442,7 @@ Status GvfsProxy::signal_reconnect(sim::Process& p) {
   return revalidate_stale_attrs_(p);
 }
 
-Status GvfsProxy::signal_write_back(sim::Process& p) {
-  GVFS_RETURN_IF_ERROR(write_back_(p));
-  if (file_cache_ != nullptr) {
-    GVFS_RETURN_IF_ERROR(file_cache_->write_back_all(p));
-  }
-  return Status::ok();
-}
+Status GvfsProxy::signal_write_back(sim::Process& p) { return write_back_(p); }
 
 void GvfsProxy::drop_soft_state() {
   // gvfs-lint: allow(unordered-iteration) each record is reset alone; order cannot escape

@@ -325,10 +325,17 @@ class GvfsProxy final : public rpc::RpcHandler {
   // leaves it to the flusher (async) or drains it inline with FILE_SYNC.
   Status cache_writeback_(sim::Process& p, const cache::BlockId& id,
                           const blob::BlobRef& data);
-  // Write back the block cache's dirty blocks (one file's, or all), then
-  // drain the log inline: every durability point (signals, honest COMMIT,
-  // recall, revalidation, truncate) goes through here.
+  // Write back the block cache's dirty blocks (one file's, or all), drain
+  // the log inline, then upload the dirty whole-file copies: the only way
+  // staged bytes reach the origin. Every durability point (signal, recall,
+  // reconnect re-probe, truncate) and a file-channel fetch of a file with
+  // staged bytes go through here; truncate and fetch by way of sync_file_.
   Status write_back_(sim::Process& p, std::optional<u64> file_key = std::nullopt);
+  // write_back_ the file, then wait out its sends in flight, until it has
+  // no dirty frame, no dirty whole-file copy and no send in flight.
+  Status sync_file_(sim::Process& p, u64 file_key);
+  // The file has a dirty frame in the block cache or an entry in the log.
+  [[nodiscard]] bool has_staged_(u64 file_key) const;
 
   // -- the pending-write log (DESIGN.md §5.5) --------------------------------
   // Every staged byte range not yet acknowledged upstream: dirty blocks from
@@ -433,7 +440,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   // every insert into / erase from log_; the YieldGuard in staged_block_
   // asserts it holds still while entry iterators are live.
   MutationEpoch log_epoch_;
-  // Woken whenever a send settles: a truncate waits on it for the file's
+  // Woken whenever a send settles: sync_file_ waits on it for the file's
   // in-flight sends (created on first use).
   std::unique_ptr<sim::Signal> settled_;
   bool flusher_active_ = false;

@@ -168,7 +168,6 @@ bool BufferCache::evict_one_(sim::Process& p) {
   const u64 file = slab_[victim].file;
   const u64 page = slab_[victim].page;
   const blob::BlobRef data = slab_[victim].data;
-  // gvfs-yield: yields via the writeback (an NFS WRITE or a VMM disk write)
   if (writeback_) writeback_(p, file, page, data);
   // Evict the page only if it still holds what was written: meanwhile it may
   // have been re-dirtied (kept, a later pass picks another victim) or dropped.

@@ -203,6 +203,37 @@ TEST(BlockCache, WriteLandingDuringWriteBackStaysDirty) {
   }
 }
 
+// Regression: write_back_file read the next frame's index before the
+// write-back yielded. When a read evicted that frame and reused it for
+// another file meanwhile, the walk went on down the new owner's list and
+// left the file's later dirty frames unsent.
+TEST(BlockCache, WriteBackFileReachesEveryDirtyFrame) {
+  CacheFixture f;
+  BlockCacheConfig cfg;
+  cfg.capacity_bytes = 16 * 32_KiB;
+  cfg.block_size = 32_KiB;
+  cfg.num_banks = 1;
+  cfg.associativity = 1;  // 16 sets of one way
+  ProxyDiskCache c(f.disk, cfg);
+  // A block of file 2 that maps to the set of file 1's block 1.
+  const u64 g_block = ((mix64(1) + 1) % 16 + 16 - mix64(2) % 16) % 16;
+  int writebacks = 0;
+  c.set_writeback([&](sim::Process& p, const BlockId&, const blob::BlobRef&) {
+    if (writebacks++ == 0) {
+      // While the first block's WRITE is out, a read fills block 1's set.
+      EXPECT_TRUE(c.insert(p, BlockId{2, g_block}, block_data(9), false).is_ok());
+    }
+    return Status::ok();
+  });
+  f.run([&](sim::Process& p) {
+    for (u64 b = 0; b < 3; ++b) ASSERT_OK(c.insert(p, BlockId{1, b}, block_data(1), true));
+    ASSERT_OK(c.write_back_file(p, 1));
+    EXPECT_FALSE(c.contains(BlockId{1, 1}));  // evicted by the fill
+    EXPECT_EQ(c.file_dirty_blocks(1), 0u);
+  });
+  EXPECT_EQ(writebacks, 3);
+}
+
 TEST(BlockCache, FlushAndInvalidateEmptiesCache) {
   CacheFixture f;
   ProxyDiskCache c(f.disk, f.small_cfg());
@@ -620,6 +651,55 @@ TEST(FileCache, InvalidateDuringWriteBackUploadIsSafe) {
   EXPECT_EQ(uploaded, (std::vector<u64>{2}));
   EXPECT_FALSE(fc.contains(1));
   EXPECT_FALSE(fc.contains(2));
+}
+
+// Regression: write_back_all marked a file clean after its upload even when
+// a write landed during the upload, so the newer bytes were never uploaded.
+TEST(FileCache, WriteDuringWriteBackUploadStaysDirty) {
+  CacheFixture f;
+  FileCache fc(f.disk);
+  std::vector<u8> uploaded;  // first byte of every upload
+  fc.set_upload([&](sim::Process& p, u64 key, const blob::BlobRef& content) {
+    std::vector<u8> first(1);
+    content->read(0, first);
+    uploaded.push_back(first[0]);
+    if (uploaded.size() == 1) {
+      EXPECT_TRUE(fc.write(p, key, 0, block_data(2, 8)).is_ok());
+    }
+    return Status::ok();
+  });
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(fc.put(p, 1, block_data(1, 64_KiB), /*dirty=*/true));
+    ASSERT_OK(fc.write_back_all(p));
+    ASSERT_OK(fc.write_back_all(p));  // uploads the write made during the first
+    ASSERT_OK(fc.write_back_all(p));  // clean now
+  });
+  EXPECT_EQ(uploaded, (std::vector<u8>{1, 2}));
+}
+
+// Regression: a dirty eviction held the LRU victim across its upload and
+// then popped the list's back. A read during the upload moved the victim to
+// the front, so another file's node was freed while the index still named
+// it.
+TEST(FileCache, ReadDuringDirtyEvictionUploadKeepsIndex) {
+  CacheFixture f;
+  FileCache fc(f.disk, FileCacheConfig{2_MiB});
+  std::vector<u64> uploaded;
+  fc.set_upload([&](sim::Process& p, u64 key, const blob::BlobRef&) {
+    uploaded.push_back(key);
+    EXPECT_TRUE(fc.read(p, key, 0, 4_KiB).has_value());
+    return Status::ok();
+  });
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(fc.put(p, 1, blob::make_zero(1_MiB), /*dirty=*/true));
+    ASSERT_OK(fc.put(p, 2, blob::make_zero(1_MiB)));
+    ASSERT_OK(fc.put(p, 3, blob::make_zero(1_MiB)));  // evicts dirty 1
+    ASSERT_OK(fc.put(p, 4, blob::make_zero(1_MiB)));  // evicts 2
+  });
+  EXPECT_EQ(uploaded, (std::vector<u64>{1}));
+  EXPECT_FALSE(fc.contains(2));
+  EXPECT_EQ(fc.files_cached(), 2u);
+  EXPECT_EQ(fc.resident_bytes(), 2_MiB);
 }
 
 TEST(FileCache, WriteToAbsentFileFails) {

@@ -31,7 +31,6 @@ TestbedOptions options_for(Scenario s) {
   // Small block cache keeps tests fast.
   opt.block_cache.capacity_bytes = 256_MiB;
   opt.block_cache.num_banks = 16;
-  opt.file_cache_bytes = 256_MiB;
   return opt;
 }
 

@@ -441,6 +441,33 @@ TEST(LintYield, AnnotationSeedsStoredHandleYielder) {
   EXPECT_EQ(count_rule(f, "yield-stale-ref"), 1) << dump(f);
 }
 
+TEST(LintYield, CallbackMemberCallSeedsYield) {
+  // upload_ is a stored callback taking the process handle: the call blocks
+  // behind type erasure, with no primitive in sight. A callback that only
+  // reads the process (const Process&) cannot block and seeds nothing.
+  const char* src =
+      "struct C {\n"
+      "  using UploadFn = std::function<Status(sim::Process& p, u64 key)>;\n"
+      "  using Tracer = std::function<void(const sim::Process& p)>;\n"
+      "  std::list<int> lru_;\n"
+      "  UploadFn upload_;\n"
+      "  Tracer tracer_;\n"
+      "  int evict(sim::Process& p) {\n"
+      "    int& victim = lru_.back();\n"
+      "    upload_(p, 1);\n"
+      "    return victim;\n"
+      "  }\n"
+      "};\n";
+  YieldModel model = YieldModel::build({{"src/cache/x.cc", src}});
+  EXPECT_TRUE(model.name_may_yield("upload_"));
+  EXPECT_TRUE(model.name_may_yield("evict"));
+  EXPECT_FALSE(model.name_may_yield("tracer_"));
+  auto f = analyze_content("src/cache/x.cc", src, model);
+  EXPECT_EQ(count_rule(f, "yield-stale-ref"), 1) << dump(f);
+  ASSERT_FALSE(f.empty());
+  EXPECT_EQ(f[0].line, 10);
+}
+
 TEST(LintYield, IndexLoopOverMemberWithYieldFires) {
   auto f = analyze("src/cache/x.cc",
                    "struct C {\n"

@@ -854,7 +854,6 @@ TEST_P(CacheIndexEquivalence, RandomOpsMatchLinearScanReference) {
   cfg.num_banks = 2;
   cfg.associativity = 4;
   cfg.policy = param.policy;
-  cfg.charge_bank_creation = false;
   cache::ProxyDiskCache cache(disk, cfg);
 
   std::vector<WbEvent> real_log;

@@ -402,6 +402,95 @@ TEST(Proxy, DropSoftStateDuringFileChannelFetchReprobesMeta) {
   EXPECT_GT(f.client_proxy.zero_filtered_reads(), 0u);
 }
 
+// Installs `/exports/<name>` with meta-data that routes it through the file
+// channel: the file's first read pulls it whole into the whole-file cache.
+vfs::FileId put_file_channel_image(ProxyFixture& f, const std::string& name,
+                                   const blob::BlobRef& content) {
+  auto id = f.server_fs.put_file("/exports/" + name, content);
+  EXPECT_TRUE(id.is_ok());
+  auto meta = meta::MetaFile::generate(*content, 32_KiB, meta::file_channel_actions());
+  EXPECT_OK(f.server_fs.put_file(meta::MetaFile::meta_path_for("/exports/" + name),
+                                 meta.serialize()));
+  return id.is_ok() ? *id : 0;
+}
+
+u64 origin_hash(ProxyFixture& f, const std::string& name, u64 offset, u64 len) {
+  auto file = f.server_fs.get_file("/exports/" + name);
+  EXPECT_TRUE(file.is_ok());
+  return blob::content_hash(blob::SliceBlob(*file, offset, len));
+}
+
+// Regression: a truncate wrote back the block cache and the log, then
+// dropped the dirty whole-file copy without uploading it, so acknowledged
+// writes to a file the file channel served never reached the origin.
+TEST(Proxy, TruncateUploadsDirtyWholeFileCopy) {
+  ProxyFixture f;
+  put_file_channel_image(f, "vm.vmss", blob::make_synthetic(41, 1_MiB, 0.5, 3.0));
+  auto data = blob::make_synthetic(42, 32_KiB, 0, 2.0);
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(f.client.read(p, "/vm.vmss", 0, 32_KiB));  // fetches the whole file
+    ASSERT_OK(f.client.write(p, "/vm.vmss", 0, data));
+    ASSERT_OK(f.client.close(p, "/vm.vmss"));
+    ASSERT_OK(f.client.truncate(p, "/vm.vmss", 512_KiB));
+    ASSERT_OK(f.client_proxy.signal_write_back(p));
+  });
+  auto file = f.server_fs.get_file("/exports/vm.vmss");
+  ASSERT_TRUE(file.is_ok());
+  EXPECT_EQ((*file)->size(), 512_KiB);
+  EXPECT_EQ(origin_hash(f, "vm.vmss", 0, 32_KiB), blob::content_hash(*data));
+}
+
+// Regression: a lease recall of one file uploaded every dirty whole-file
+// copy the proxy held.
+TEST(Proxy, RecallUploadsOnlyTheRecalledFile) {
+  ProxyFixture f;
+  const vfs::FileId a =
+      put_file_channel_image(f, "a.vmss", blob::make_synthetic(43, 1_MiB, 0.5, 3.0));
+  auto b_content = blob::make_synthetic(44, 1_MiB, 0.5, 3.0);
+  put_file_channel_image(f, "b.vmss", b_content);
+  auto data = blob::make_synthetic(45, 32_KiB, 0, 2.0);
+  f.run([&](sim::Process& p) {
+    for (const char* path : {"/a.vmss", "/b.vmss"}) {
+      ASSERT_OK(f.client.read(p, path, 0, 32_KiB));
+      ASSERT_OK(f.client.write(p, path, 0, data));
+      ASSERT_OK(f.client.close(p, path));
+    }
+    rpc::RpcCall recall;
+    recall.xid = 1;
+    recall.prog = nfs::kLeaseCallbackProgram;
+    recall.vers = nfs::kLeaseCallbackVersion;
+    recall.proc = static_cast<u32>(nfs::CallbackProc::kRecall);
+    auto args = std::make_shared<nfs::RecallArgs>();
+    args->fh = f.server.fh_of(a);
+    recall.args = args;
+    rpc::RpcReply reply = f.client_proxy.handle(p, recall);
+    ASSERT_OK(reply.status);
+    EXPECT_TRUE(rpc::message_cast<nfs::RecallRes>(reply.result)->flushed);
+  });
+  EXPECT_EQ(f.channel.uploads(), 1u);
+  EXPECT_EQ(origin_hash(f, "a.vmss", 0, 32_KiB), blob::content_hash(*data));
+  EXPECT_EQ(origin_hash(f, "b.vmss", 0, 1_MiB), blob::content_hash(*b_content));
+}
+
+// Regression: a file-channel fetch ignored bytes staged in the block cache,
+// so a write made before the file's first read read back as the origin's
+// older bytes.
+TEST(Proxy, FileChannelFetchSeesStagedBlocks) {
+  ProxyFixture f;
+  put_file_channel_image(f, "vm.vmss", blob::make_synthetic(46, 1_MiB, 0.5, 3.0));
+  auto data = blob::make_synthetic(47, 32_KiB, 0, 2.0);
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(f.client.write(p, "/vm.vmss", 0, data));
+    ASSERT_OK(f.client.close(p, "/vm.vmss"));
+    f.client.drop_caches();
+    auto back = f.client.read(p, "/vm.vmss", 0, 32_KiB);
+    ASSERT_OK(back);
+    EXPECT_EQ(blob::content_hash(**back), blob::content_hash(*data));
+  });
+  EXPECT_EQ(f.channel.fetches(), 1u);
+  EXPECT_EQ(f.block_cache.dirty_blocks(), 0u);
+}
+
 TEST(Proxy, MetaProbeNegativeCached) {
   ProxyFixture f;
   ASSERT_TRUE(f.server_fs.put_file("/exports/plain", blob::make_zero(64_KiB)).is_ok());
@@ -584,6 +673,50 @@ TEST(AsyncWriteback, EvictionEnqueuesInsteadOfBlockingAndFlusherDrains) {
   EXPECT_EQ(proxy.pending_flush_blocks(), 0u);
   EXPECT_EQ(blob::content_hash(**f.server_fs.get_file("/exports/f")),
             blob::content_hash(*content));
+}
+
+// Regression: a file-channel fetch started while the flusher still had the
+// file's evicted blocks in flight read the origin's older bytes. The stale
+// copy was clean, so it served reads, and a later upload of it put those
+// older bytes back over the flushed ones.
+TEST(AsyncWriteback, FileChannelFetchWaitsForFlushInFlight) {
+  ProxyFixture f;
+  cache::BlockCacheConfig ccfg = ProxyFixture::small_cache_cfg();
+  ccfg.capacity_bytes = 256_KiB;  // 8 frames of 32 KiB
+  ccfg.num_banks = 1;
+  ccfg.associativity = 4;
+  cache::ProxyDiskCache cache(f.client_disk, ccfg);
+  cache::FileCache file_cache(f.client_disk);
+  meta::FileChannelClient channel(f.endpoint, f.scp, file_cache);
+  ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
+  pcfg.async_writeback = true;
+  GvfsProxy proxy(pcfg, f.tunnel);
+  proxy.attach_block_cache(cache);
+  proxy.attach_file_channel(channel, file_cache);
+  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+  nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
+
+  put_file_channel_image(f, "vm.vmss", blob::make_synthetic(48, 1_MiB, 0.5, 3.0));
+  auto content = blob::make_synthetic(49, 1_MiB, 0, 2.0);
+  auto patch = blob::make_bytes(std::vector<u8>(4_KiB, 0xab));
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_OK(client.mount(p, "/exports"));
+    ASSERT_OK(client.write(p, "/vm.vmss", 0, content));
+    ASSERT_OK(client.close(p, "/vm.vmss"));
+    EXPECT_GT(proxy.flush_enqueued_blocks(), 0u);  // evictions handed to the flusher
+    client.drop_caches();
+    auto back = client.read(p, "/vm.vmss", 0, 1_MiB);
+    ASSERT_OK(back);
+    EXPECT_EQ(blob::content_hash(**back), blob::content_hash(*content));
+    ASSERT_OK(client.write(p, "/vm.vmss", 0, patch));
+    ASSERT_OK(client.close(p, "/vm.vmss"));
+    ASSERT_OK(proxy.signal_write_back(p));
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  EXPECT_EQ(channel.fetches(), 1u);
+  EXPECT_EQ(origin_hash(f, "vm.vmss", 0, 4_KiB), blob::content_hash(*patch));
+  EXPECT_EQ(origin_hash(f, "vm.vmss", 4_KiB, 1_MiB - 4_KiB),
+            blob::content_hash(blob::SliceBlob(content, 4_KiB, 1_MiB - 4_KiB)));
 }
 
 TEST(SingleFlight, ConcurrentSameBlockMissesShareOneUpstreamFetch) {

@@ -174,6 +174,35 @@ const std::regex& process_param_re() {
   return kRe;
 }
 
+// Names of the data members whose type is a `using X = std::function<..>`
+// alias taking a mutable Process&: the stored callbacks (an upload, a
+// write-back) that block the caller's fiber behind type erasure.
+std::set<std::string> callback_members(const std::vector<std::string>& texts) {
+  static const std::regex kAlias(
+      R"(\busing\s+([A-Za-z_]\w*)\s*=\s*std\s*::\s*function\s*<([^;]*)>\s*;)");
+  static const std::regex kProcessRef(R"((const\s+)?(?:sim\s*::\s*)?\bProcess\s*&)");
+  std::set<std::string> aliases;
+  for (const std::string& s : texts) {
+    for (std::sregex_iterator a(s.begin(), s.end(), kAlias), end; a != end; ++a) {
+      const std::string args = (*a)[2].str();
+      for (std::sregex_iterator r(args.begin(), args.end(), kProcessRef); r != end; ++r) {
+        if (!(*r)[1].matched) aliases.insert((*a)[1].str());
+      }
+    }
+  }
+  std::set<std::string> members;
+  if (aliases.empty()) return members;
+  std::string alt;
+  for (const std::string& a : aliases) alt += (alt.empty() ? "" : "|") + a;
+  const std::regex kMember(R"(\b(?:)" + alt + R"()\s+([A-Za-z_]\w*)\s*;)");
+  for (const std::string& s : texts) {
+    for (std::sregex_iterator m(s.begin(), s.end(), kMember), end; m != end; ++m) {
+      members.insert((*m)[1].str());
+    }
+  }
+  return members;
+}
+
 // Classification of the text introducing a '{'.
 struct HeaderInfo {
   enum class Kind { kOther, kFunction, kType } kind = Kind::kOther;
@@ -466,6 +495,7 @@ YieldModel YieldModel::build(
     const std::vector<std::pair<std::string, std::string>>& files) {
   YieldModel model;
   static const std::regex kYieldsAnnot(R"(gvfs-yield:\s*yields\b)");
+  std::vector<std::string> texts;  // each file's stripped code, joined
 
   for (const auto& [path, content] : files) {
     std::vector<std::string> code = strip_code(content);
@@ -511,10 +541,13 @@ YieldModel YieldModel::build(
       }
       collect_calls(text, &fn, skip);
     }
+    texts.push_back(std::move(text.s));
   }
 
-  // Fixpoint over simple names.
+  // Fixpoint over simple names, seeded with the primitives and the callback
+  // members.
   model.yield_names_ = primitive_names();
+  model.yield_names_.merge(callback_members(texts));
   bool changed = true;
   while (changed) {
     changed = false;

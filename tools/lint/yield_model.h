@@ -11,8 +11,11 @@
 // (tools/lint/text.h) and computes the transitive may-yield set by fixpoint:
 //
 //   seeds:  direct primitive calls that pass the sim::Process& handle
-//           (`p.wait(..)`, `sem_.acquire(p)`, `chan->call(p, ..)`, ...) and
-//           anything annotated `// gvfs-yield: yields`.
+//           (`p.wait(..)`, `sem_.acquire(p)`, `chan->call(p, ..)`, ...),
+//           calls through a callback member (a data member whose type is a
+//           `using X = std::function<..>` alias taking a mutable
+//           `sim::Process&`, e.g. `upload_(p, ..)`), and anything
+//           annotated `// gvfs-yield: yields`.
 //   edges:  a call site that passes the caller's process parameter to a
 //           callee. Yielding requires the Process handle, so propagation is
 //           keyed on process-passing calls — spawn-lambda bodies (which run
