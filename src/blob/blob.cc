@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstring>
 
 #include "common/hash.h"
@@ -213,19 +214,117 @@ u64 ViewBlob::compressed_size(u64 offset, u64 len) const {
 
 // -------------------------------------------------------------- SliceBlob --
 
+namespace {
+
+// Drop one child ref of a composite blob. Only a ref that is the child's last
+// goes onto the worklist `out` (whose release then frees it); any other is
+// reset at once, since dropping it frees nothing. So a composite whose
+// children live on elsewhere (pages of a cached block) dies without growing a
+// worklist, and a child held twice by the same parent is queued when its
+// second ref, then the last, is dropped.
+void release_child(BlobRef& child, std::vector<BlobRef>& out) {
+  if (child.use_count() == 1) {
+    out.push_back(std::move(child));
+  } else {
+    child.reset();
+  }
+}
+
+}  // namespace
+
 SliceBlob::SliceBlob(BlobRef base, u64 offset, u64 len)
     : base_(std::move(base)), off_(offset), len_(len) {}
 
 SliceBlob::~SliceBlob() {
-  if (base_) {
-    std::vector<BlobRef> refs;
-    refs.push_back(std::move(base_));
-    release_child_refs(std::move(refs));
-  }
+  std::vector<BlobRef> refs;
+  release_child(base_, refs);
+  if (!refs.empty()) release_child_refs(std::move(refs));
 }
 
-void SliceBlob::detach_child_refs(std::vector<BlobRef>& out) {
-  if (base_) out.push_back(std::move(base_));
+void SliceBlob::detach_child_refs(std::vector<BlobRef>& out) { release_child(base_, out); }
+
+// ------------------------------------------------------------- PiecesBlob --
+
+namespace {
+
+class PiecesBlob final : public Blob {
+ public:
+  using Blob::compressed_size;
+  PiecesBlob(std::vector<Piece> pieces, u64 size)
+      : pieces_(std::move(pieces)), size_(size) {}
+
+  ~PiecesBlob() override {
+    std::vector<BlobRef> refs;
+    detach_child_refs(refs);
+    if (!refs.empty()) release_child_refs(std::move(refs));
+  }
+
+  void detach_child_refs(std::vector<BlobRef>& out) override {
+    for (Piece& pc : pieces_) release_child(pc.src, out);
+  }
+
+  [[nodiscard]] u64 size() const override { return size_; }
+
+  void read(u64 offset, std::span<u8> out) const override {
+    const u64 end = offset + out.size();
+    u64 pos = offset;  // bytes before pos are filled
+    for (auto it = first_(offset); it != pieces_.end() && it->start < end; ++it) {
+      u64 lo = std::max(it->start, offset);
+      u64 hi = std::min(it->start + it->len, end);
+      if (pos < lo) std::memset(out.data() + (pos - offset), 0, lo - pos);
+      it->src->read(it->src_off + (lo - it->start), out.subspan(lo - offset, hi - lo));
+      pos = hi;
+    }
+    if (pos < end) std::memset(out.data() + (pos - offset), 0, end - pos);
+  }
+
+  [[nodiscard]] bool is_zero_range(u64 offset, u64 len) const override {
+    for (auto it = first_(offset); it != pieces_.end() && it->start < offset + len; ++it) {
+      u64 lo = std::max(it->start, offset);
+      u64 hi = std::min(it->start + it->len, offset + len);
+      if (!it->src->is_zero_range(it->src_off + (lo - it->start), hi - lo)) return false;
+    }
+    return true;
+  }
+
+  [[nodiscard]] u64 compressed_size(u64 offset, u64 len) const override {
+    u64 total = 16;
+    u64 covered = 0;
+    for (auto it = first_(offset); it != pieces_.end() && it->start < offset + len; ++it) {
+      u64 lo = std::max(it->start, offset);
+      u64 hi = std::min(it->start + it->len, offset + len);
+      total += it->src->compressed_size(it->src_off + (lo - it->start), hi - lo);
+      covered += hi - lo;
+    }
+    total += (len - covered) / 1000;  // holes compress like zeros
+    return std::min(total, len);     // never model expansion
+  }
+
+ private:
+  // The first piece that ends past `offset`: every piece from there on that
+  // starts before a range's end overlaps it.
+  [[nodiscard]] std::vector<Piece>::const_iterator first_(u64 offset) const {
+    return std::partition_point(pieces_.begin(), pieces_.end(), [offset](const Piece& pc) {
+      return pc.start + pc.len <= offset;
+    });
+  }
+
+  std::vector<Piece> pieces_;
+  u64 size_;
+};
+
+}  // namespace
+
+BlobRef make_pieces(std::vector<Piece> pieces, u64 size) {
+#ifndef NDEBUG
+  u64 end = 0;
+  for (const Piece& pc : pieces) {
+    assert(pc.len > 0 && pc.start >= end && pc.start + pc.len <= size);
+    assert(pc.src && pc.src_off + pc.len <= pc.src->size());
+    end = pc.start + pc.len;
+  }
+#endif
+  return std::make_shared<PiecesBlob>(std::move(pieces), size);
 }
 
 // ---------------------------------------------------------------- helpers --
@@ -278,12 +377,14 @@ BlobRef zero_ref(u64 size) {
   static const BlobRef k8K = make_zero(8_KiB);
   static const BlobRef k16K = make_zero(16_KiB);
   static const BlobRef k32K = make_zero(32_KiB);
+  static const BlobRef k64K = make_zero(64_KiB);
   switch (size) {
     case 0: return kEmpty;
     case 4_KiB: return k4K;
     case 8_KiB: return k8K;
     case 16_KiB: return k16K;
     case 32_KiB: return k32K;
+    case 64_KiB: return k64K;
     default: return make_zero(size);
   }
 }

@@ -62,10 +62,11 @@ class Blob {
   // representations, which only costs dedup hits, never correctness).
   [[nodiscard]] virtual u64 fingerprint(u64 seed, u64 offset, u64 len) const;
 
-  // Teardown hook: a composite blob moves its owned child refs into `out`.
-  // release_child_refs() calls it only on a sole-owner blob that is about to
-  // be destroyed, so long slice/snapshot chains (one link per buffered write)
-  // unwind iteratively instead of one stack frame per link.
+  // Teardown hook: a composite blob moves each owned child ref that is the
+  // child's last into `out` and drops the others. release_child_refs() calls
+  // it only on a sole-owner blob that is about to be destroyed, so long
+  // slice/pieces chains (one link per buffered write) unwind iteratively
+  // instead of one stack frame per link.
   virtual void detach_child_refs(
       std::vector<std::shared_ptr<const Blob>>& /*out*/) {}
 };
@@ -195,6 +196,24 @@ class SliceBlob final : public Blob {
   u64 len_;
 };
 
+// One piece of an ordered-pieces blob: its bytes [start, start+len) are
+// src[src_off, src_off+len).
+struct Piece {
+  u64 start = 0;
+  u64 len = 0;
+  BlobRef src;
+  u64 src_off = 0;
+};
+
+// Immutable blob of `size` bytes made of `pieces`, which must be sorted by
+// start, disjoint, non-empty and inside [0, size); bytes no piece covers read
+// as zeros. This is how a read result is assembled from cached pages or
+// blocks, and what ExtentStore's snapshot and read_slice return: reads find
+// the first piece they touch by binary search.
+// compressed_size is 16 bytes plus each piece's own estimate plus 1/1000 of
+// the holes, clamped to the range, as for an ExtentStore.
+BlobRef make_pieces(std::vector<Piece> pieces, u64 size);
+
 // FNV-1a hash of a byte range, materialized in bounded chunks; the
 // end-to-end integrity check used throughout the tests.
 u64 range_hash(const Blob& b, u64 offset, u64 len);
@@ -208,7 +227,7 @@ BlobRef make_view(std::shared_ptr<const void> owner, std::span<const u8> data);
 BlobRef make_synthetic(u64 seed, u64 size, double zero_fraction,
                        double nonzero_compress_ratio);
 
-// Shared all-zero blobs for the hot block sizes (0, 4/8/16/32 KiB …): every
+// Shared all-zero blobs for the hot block sizes (0, 4/8/16/32/64 KiB): every
 // filtered zero block and empty read reuses one control block instead of
 // allocating a fresh ZeroBlob. Falls back to make_zero for odd sizes.
 BlobRef zero_ref(u64 size);

@@ -6,96 +6,6 @@
 
 namespace gvfs::blob {
 
-namespace {
-
-// Immutable snapshot of an ExtentStore's extents (shares the blob refs).
-class ExtentSnapshotBlob final : public Blob {
- public:
-  ExtentSnapshotBlob(std::map<u64, std::pair<BlobRef, std::pair<u64, u64>>> exts, u64 size)
-      : exts_(std::move(exts)), size_(size) {}
-
-  ~ExtentSnapshotBlob() override {
-    std::vector<BlobRef> refs;
-    detach_child_refs(refs);
-    release_child_refs(std::move(refs));
-  }
-
-  void detach_child_refs(std::vector<BlobRef>& out) override {
-    for (auto& [start, ext] : exts_) {
-      if (ext.first) out.push_back(std::move(ext.first));
-    }
-  }
-
-  [[nodiscard]] u64 size() const override { return size_; }
-
-  void read(u64 offset, std::span<u8> out) const override {
-    u64 pos = 0;
-    while (pos < out.size()) {
-      u64 abs = offset + pos;
-      auto it = exts_.upper_bound(abs);
-      if (it != exts_.begin()) {
-        auto prev = std::prev(it);
-        u64 start = prev->first;
-        u64 len = prev->second.second.second;
-        if (abs < start + len) {
-          u64 n = std::min<u64>(out.size() - pos, start + len - abs);
-          prev->second.first->read(prev->second.second.first + (abs - start),
-                                   out.subspan(pos, n));
-          pos += n;
-          continue;
-        }
-      }
-      u64 next_start = it == exts_.end() ? size_ : it->first;
-      u64 n = std::min<u64>(out.size() - pos, std::max(next_start, abs + 1) - abs);
-      std::memset(out.data() + pos, 0, n);
-      pos += n;
-    }
-  }
-
-  [[nodiscard]] bool is_zero_range(u64 offset, u64 len) const override {
-    // Walk overlapping extents; holes are zero.
-    auto it = exts_.upper_bound(offset);
-    if (it != exts_.begin()) --it;
-    for (; it != exts_.end() && it->first < offset + len; ++it) {
-      u64 start = it->first;
-      u64 elen = it->second.second.second;
-      u64 lo = std::max(start, offset);
-      u64 hi = std::min(start + elen, offset + len);
-      if (lo < hi &&
-          !it->second.first->is_zero_range(it->second.second.first + (lo - start), hi - lo)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] u64 compressed_size(u64 offset, u64 len) const override {
-    u64 total = 16;
-    auto it = exts_.upper_bound(offset);
-    if (it != exts_.begin()) --it;
-    u64 covered = 0;
-    for (; it != exts_.end() && it->first < offset + len; ++it) {
-      u64 start = it->first;
-      u64 elen = it->second.second.second;
-      u64 lo = std::max(start, offset);
-      u64 hi = std::min(start + elen, offset + len);
-      if (lo < hi) {
-        total += it->second.first->compressed_size(
-            it->second.second.first + (lo - start), hi - lo);
-        covered += hi - lo;
-      }
-    }
-    total += (len - covered) / 1000;  // holes compress like zeros
-    return std::min(total, len);     // never model expansion
-  }
-
- private:
-  std::map<u64, std::pair<BlobRef, std::pair<u64, u64>>> exts_;
-  u64 size_;
-};
-
-}  // namespace
-
 void ExtentStore::reset(BlobRef content) {
   extents_.clear();
   size_ = content ? content->size() : 0;
@@ -219,84 +129,10 @@ u64 ExtentStore::materialized_bytes() const {
   return total;
 }
 
-namespace {
-
-// Flat immutable extent list for a small range (vector, not map).
-class RangeSliceBlob final : public Blob {
- public:
-  struct Piece {
-    u64 start;  // offset within this blob
-    u64 len;
-    BlobRef src;
-    u64 src_off;
-  };
-
-  RangeSliceBlob(std::vector<Piece> pieces, u64 size)
-      : pieces_(std::move(pieces)), size_(size) {}
-
-  ~RangeSliceBlob() override {
-    std::vector<BlobRef> refs;
-    detach_child_refs(refs);
-    release_child_refs(std::move(refs));
-  }
-
-  void detach_child_refs(std::vector<BlobRef>& out) override {
-    for (Piece& pc : pieces_) {
-      if (pc.src) out.push_back(std::move(pc.src));
-    }
-  }
-
-  [[nodiscard]] u64 size() const override { return size_; }
-
-  void read(u64 offset, std::span<u8> out) const override {
-    std::memset(out.data(), 0, out.size());
-    for (const Piece& pc : pieces_) {
-      u64 lo = std::max(pc.start, offset);
-      u64 hi = std::min(pc.start + pc.len, offset + out.size());
-      if (lo < hi) {
-        pc.src->read(pc.src_off + (lo - pc.start),
-                     out.subspan(lo - offset, hi - lo));
-      }
-    }
-  }
-
-  [[nodiscard]] bool is_zero_range(u64 offset, u64 len) const override {
-    for (const Piece& pc : pieces_) {
-      u64 lo = std::max(pc.start, offset);
-      u64 hi = std::min(pc.start + pc.len, offset + len);
-      if (lo < hi && !pc.src->is_zero_range(pc.src_off + (lo - pc.start), hi - lo)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] u64 compressed_size(u64 offset, u64 len) const override {
-    u64 total = 16;
-    u64 covered = 0;
-    for (const Piece& pc : pieces_) {
-      u64 lo = std::max(pc.start, offset);
-      u64 hi = std::min(pc.start + pc.len, offset + len);
-      if (lo < hi) {
-        total += pc.src->compressed_size(pc.src_off + (lo - pc.start), hi - lo);
-        covered += hi - lo;
-      }
-    }
-    total += (len - covered) / 1000;
-    return std::min(total, len);  // never model expansion
-  }
-
- private:
-  std::vector<Piece> pieces_;
-  u64 size_;
-};
-
-}  // namespace
-
 BlobRef ExtentStore::read_slice(u64 offset, u64 len) const {
   if (offset >= size_) return make_zero(0);
   len = std::min(len, size_ - offset);
-  std::vector<RangeSliceBlob::Piece> pieces;
+  std::vector<Piece> pieces;
   auto it = extents_.upper_bound(offset);
   if (it != extents_.begin()) --it;
   for (; it != extents_.end() && it->first < offset + len; ++it) {
@@ -304,19 +140,20 @@ BlobRef ExtentStore::read_slice(u64 offset, u64 len) const {
     u64 lo = std::max(start, offset);
     u64 hi = std::min(start + it->second.len, offset + len);
     if (lo < hi) {
-      pieces.push_back(RangeSliceBlob::Piece{lo - offset, hi - lo, it->second.src,
-                                             it->second.src_off + (lo - start)});
+      pieces.push_back(Piece{lo - offset, hi - lo, it->second.src,
+                             it->second.src_off + (lo - start)});
     }
   }
-  return std::make_shared<RangeSliceBlob>(std::move(pieces), len);
+  return make_pieces(std::move(pieces), len);
 }
 
 BlobRef ExtentStore::snapshot() const {
-  std::map<u64, std::pair<BlobRef, std::pair<u64, u64>>> exts;
+  std::vector<Piece> pieces;
+  pieces.reserve(extents_.size());
   for (const auto& [start, ext] : extents_) {
-    exts.emplace(start, std::make_pair(ext.src, std::make_pair(ext.src_off, ext.len)));
+    pieces.push_back(Piece{start, ext.len, ext.src, ext.src_off});
   }
-  return std::make_shared<ExtentSnapshotBlob>(std::move(exts), size_);
+  return make_pieces(std::move(pieces), size_);
 }
 
 }  // namespace gvfs::blob

@@ -47,14 +47,15 @@ class ExtentStore {
 
   [[nodiscard]] std::size_t extent_count() const { return extents_.size(); }
 
-  // Snapshot current content as an immutable blob sharing the extents
-  // (copy-on-write semantics; used for file snapshots and SCP transfers).
-  // O(extent_count) — prefer read_slice for small ranges.
+  // Snapshot current content as an immutable pieces blob (make_pieces)
+  // sharing the extents (copy-on-write semantics; used for file snapshots,
+  // SCP transfers and read-modify-write composes). O(extent_count) — prefer
+  // read_slice for small ranges.
   [[nodiscard]] BlobRef snapshot() const;
 
-  // Immutable view of [offset, offset+len): copies only the overlapping
-  // extent entries (O(log n + k)); the hot path for block/page reads of
-  // large fragmented files.
+  // Immutable pieces blob of [offset, offset+len): copies only the
+  // overlapping extent entries (O(log n + k)); the hot path for block/page
+  // reads of large fragmented files.
   [[nodiscard]] BlobRef read_slice(u64 offset, u64 len) const;
 
  private:
@@ -69,8 +70,6 @@ class ExtentStore {
 
   std::map<u64, Extent> extents_;  // key: start offset; non-overlapping
   u64 size_ = 0;
-
-  friend class ExtentSnapshotBlob;
 };
 
 }  // namespace gvfs::blob

@@ -1,6 +1,7 @@
 #include "nfs/nfs_client.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "blob/extent_store.h"
 #include "common/log.h"
@@ -207,7 +208,7 @@ Result<vfs::Attr> NfsClient::stat(sim::Process& p, const std::string& path) {
 
 // ------------------------------------------------------------------- read --
 
-Status NfsClient::fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 page) {
+Result<u64> NfsClient::fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 page) {
   u64 start = page / std::max<u64>(1, cfg_.rsize / kPageSize) * cfg_.rsize;
   auto args = std::make_shared<ReadArgs>();
   args->fh = fh;
@@ -218,14 +219,23 @@ Status NfsClient::fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 
   if (res->status != NfsStat::kOk) return err(res->status, "read");
   bytes_read_wire_.inc(res->count);
   if (res->attr.attr) cache_attr_(fh, *res->attr.attr, p);
-  // Split the block into cache pages.
-  const u64 key = fh.key();
-  for (u64 off = 0; off < res->count; off += kPageSize) {
-    u64 n = std::min<u64>(kPageSize, res->count - off);
-    blob::BlobRef pg = std::make_shared<blob::SliceBlob>(res->data, off, n);
-    pages_.insert(p, key, (start + off) / kPageSize, std::move(pg), /*dirty=*/false);
+  if (!res->data || res->data->size() != res->count) {
+    return err(ErrCode::kIo, "read reply count mismatch");
   }
-  return Status::ok();
+  // Cache the block's pages as views of the reply's data.
+  pages_.insert_block(p, fh.key(), start / kPageSize, res->data);
+  return res->eof ? start + res->count : std::numeric_limits<u64>::max();
+}
+
+Result<std::optional<vfs::BufferCache::Page>> NfsClient::page_(sim::Process& p, const Fh& fh,
+                                                              u64 file_size, u64 page,
+                                                              u64& eof) {
+  auto cached = pages_.lookup(fh.key(), page);
+  if (cached || page * kPageSize >= eof) return cached;
+  GVFS_ASSIGN_OR_RETURN(eof, fill_block_(p, fh, file_size, page));
+  cached = pages_.lookup(fh.key(), page);
+  if (!cached && page * kPageSize < eof) return err(ErrCode::kIo, "page missing after fill");
+  return cached;
 }
 
 Result<blob::BlobRef> NfsClient::read(sim::Process& p, const std::string& path,
@@ -241,42 +251,34 @@ Result<blob::BlobRef> NfsClient::read(sim::Process& p, const std::string& path,
 
   u64 first = offset / kPageSize;
   u64 last = (offset + len - 1) / kPageSize;
+  u64 eof = std::numeric_limits<u64>::max();  // where a READ reply ended the file
   if (first == last) {
-    // Single-page read: return the cached page (or a slice of it) directly
-    // instead of copying through an extent map.
-    auto cached = pages_.lookup(fh.key(), first);
-    if (!cached) {
-      GVFS_RETURN_IF_ERROR(fill_block_(p, fh, size, first));
-      cached = pages_.lookup(fh.key(), first);
-      if (!cached) return err(ErrCode::kIo, "page missing after fill");
+    // Single-page read: return the cached page's blob (or a slice of it)
+    // directly instead of assembling pieces.
+    GVFS_ASSIGN_OR_RETURN(auto cached, page_(p, fh, size, first, eof));
+    if (!cached) return blob::BlobRef(blob::zero_ref(len));  // past the file's end
+    u64 off_in_pg = offset - first * kPageSize;
+    if (cached->len >= off_in_pg + len) {
+      if (cached->off + off_in_pg == 0 && cached->data->size() == len) return cached->data;
+      return blob::BlobRef(
+          std::make_shared<blob::SliceBlob>(cached->data, cached->off + off_in_pg, len));
     }
-    const blob::BlobRef& data = *cached;
-    u64 pg_start = first * kPageSize;
-    u64 off_in_pg = offset - pg_start;
-    if (data->size() >= off_in_pg + len) {
-      if (off_in_pg == 0 && data->size() == len) return *cached;
-      return blob::BlobRef(std::make_shared<blob::SliceBlob>(data, off_in_pg, len));
-    }
-    // Short page (sparse tail): fall through to extent assembly below.
+    // Short page (sparse tail): fall through to piece assembly below.
   }
-  blob::ExtentStore assembled;
-  assembled.truncate(len);
+  std::vector<blob::Piece> pieces;
+  pieces.reserve(last - first + 1);
   for (u64 pg = first; pg <= last; ++pg) {
-    auto cached = pages_.lookup(fh.key(), pg);
-    if (!cached) {
-      GVFS_RETURN_IF_ERROR(fill_block_(p, fh, size, pg));
-      cached = pages_.lookup(fh.key(), pg);
-      if (!cached) return err(ErrCode::kIo, "page missing after fill");
-    }
-    const blob::BlobRef& data = *cached;
+    GVFS_ASSIGN_OR_RETURN(auto cached, page_(p, fh, size, pg, eof));
+    if (!cached) continue;  // past the file's end: a hole, read as zeros
     u64 pg_start = pg * kPageSize;
     u64 lo = std::max(pg_start, offset);
-    u64 hi = std::min({pg_start + data->size(), offset + len});
+    u64 hi = std::min({pg_start + cached->len, offset + len});
     if (lo < hi) {
-      assembled.write_blob(lo - offset, data, lo - pg_start, hi - lo);
+      pieces.push_back({lo - offset, hi - lo, std::move(cached->data),
+                        cached->off + (lo - pg_start)});
     }
   }
-  return assembled.snapshot();
+  return blob::make_pieces(std::move(pieces), len);
 }
 
 // ------------------------------------------------------------------ write --
@@ -307,10 +309,10 @@ Status NfsClient::write(sim::Process& p, const std::string& path, u64 offset,
       blob::ExtentStore compose;
       auto cached = pages_.lookup(key, pg);
       if (!cached && pg_start < a.size) {
-        GVFS_RETURN_IF_ERROR(fill_block_(p, fh, a.size, pg));
+        GVFS_RETURN_IF_ERROR(fill_block_(p, fh, a.size, pg).status());
         cached = pages_.lookup(key, pg);
       }
-      if (cached && *cached) compose.write_blob(0, *cached, 0, (*cached)->size());
+      if (cached && cached->data) compose.write_blob(0, cached->data, cached->off, cached->len);
       u64 pg_len = std::max<u64>(hi - pg_start,
                                  std::min<u64>(kPageSize,
                                                known > pg_start ? known - pg_start : 0));
@@ -353,13 +355,13 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
     const std::size_t run_begin = i;
     u64 run_first = dirty[i].first;
     u64 run_limit = (run_first / pages_per_wsize + 1) * pages_per_wsize;
-    blob::ExtentStore run;
+    std::vector<blob::Piece> run;
     u64 run_len = 0;
     while (i < dirty.size() && dirty[i].first == run_first + (i - run_begin) &&
            dirty[i].first < run_limit && run_len + kPageSize <= cfg_.wsize) {
       const blob::BlobRef& d = dirty[i].second;
       u64 n = d ? d->size() : 0;
-      if (n > 0) run.write_blob(run_len, d, 0, n);
+      if (n > 0) run.push_back({run_len, n, d, 0});
       run_len += n;
       ++i;
       if (n < kPageSize) break;  // short (EOF) page ends the run
@@ -373,7 +375,7 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
     args->offset = run_first * kPageSize;
     args->count = static_cast<u32>(run_len);
     args->stable = StableHow::kUnstable;
-    args->data = run.snapshot();
+    args->data = blob::make_pieces(std::move(run), run_len);
     bytes_written_wire_.inc(run_len);
     GVFS_ASSIGN_OR_RETURN(auto res, call_as_<WriteRes>(p, Proc::kWrite, args));
     if (res->status != NfsStat::kOk) return err(res->status, "write");

@@ -103,8 +103,14 @@ class NfsClient final : public vfs::FsSession {
 
   // Fetch the rsize block containing `page` into the page cache with one
   // synchronous READ (no read-ahead: the VMM's blocking read pattern the
-  // paper measured).
-  Status fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 page);
+  // paper measured). Returns where the reply ended the file, or UINT64_MAX
+  // if it did not reach EOF.
+  Result<u64> fill_block_(sim::Process& p, const Fh& fh, u64 file_size, u64 page);
+  // The cached page `page`, fetched with its block on a miss. nullopt if the
+  // page starts at or past `eof`, where a READ reply ended the file (a
+  // truncate can end it before `file_size`); a fetch updates `eof`.
+  Result<std::optional<vfs::BufferCache::Page>> page_(sim::Process& p, const Fh& fh,
+                                                      u64 file_size, u64 page, u64& eof);
   // Flush dirty pages of one file as wsize WRITE runs + COMMIT.
   Status flush_file_(sim::Process& p, const Fh& fh);
 

@@ -80,14 +80,14 @@ void NfsServer::charge_read_(sim::Process& p, vfs::FileId id, u64 file_size,
             : sim::Locality::kRandom;
     last_read_page_[id] = cluster_first;
     disk_.access(p, bytes, loc);
-    for (u64 i = 0; i < pages_per_cluster; ++i) {
-      u64 cp = cluster_first + i;
-      u64 off = cp * kPageSize;
-      if (off >= file_size && cp != pg) continue;
-      u64 n = off < file_size ? std::min<u64>(kPageSize, file_size - off) : 0;
-      auto data = n > 0 ? fs_.read_ref(id, off, n) : Result<blob::BlobRef>(blob::zero_ref(0));
-      page_cache_.insert(p, id, cp, data.is_ok() ? *data : blob::zero_ref(0),
-                         /*dirty=*/false);
+    // The cluster's pages before EOF, then, past EOF, only the requested
+    // page, empty. The cache only records presence, so its pages are zeros.
+    if (start < file_size) {
+      page_cache_.insert_block(
+          p, id, cluster_first, blob::zero_ref(std::min<u64>(kReadaheadBytes, file_size - start)));
+    }
+    if (pg * kPageSize >= file_size) {
+      page_cache_.insert(p, id, pg, blob::zero_ref(0), /*dirty=*/false);
     }
   }
 }
@@ -362,8 +362,11 @@ rpc::MessagePtr NfsServer::do_read_(sim::Process& p, const ReadArgs& a, const Cr
     res->status = to_nfsstat(data.status());
     return res;
   }
-  res->count = static_cast<u32>(n);
-  res->eof = a.offset + n >= attr->size;
+  // The reply carries what the file holds now: a truncate that ran while
+  // charge_read_ waited on the disk ends the data, and the file, early.
+  const u64 got = (*data)->size();
+  res->count = static_cast<u32>(got);
+  res->eof = got < n || a.offset + got >= attr->size;
   res->data = *data;
   res->attr.attr = *attr;
   return res;

@@ -1187,26 +1187,24 @@ rpc::RpcReply GvfsProxy::handle_read_(sim::Process& p, const rpc::RpcCall& call,
                         : std::make_shared<blob::SliceBlob>(data, off_in_block, n);
       } else {
         // Short block (read past cached tail): zero-fill the remainder.
-        blob::ExtentStore assembled;
-        assembled.truncate(n);
+        std::vector<blob::Piece> pieces;
         u64 hi = std::min(block_start + (data ? data->size() : 0), a.offset + n);
-        if (a.offset < hi)
-          assembled.write_blob(0, data, off_in_block, hi - a.offset);
-        res->data = assembled.snapshot();
+        if (a.offset < hi) pieces.push_back({0, hi - a.offset, data, off_in_block});
+        res->data = blob::make_pieces(std::move(pieces), n);
       }
     } else {
-      blob::ExtentStore assembled;
-      assembled.truncate(n);
+      std::vector<blob::Piece> pieces;
+      pieces.reserve(last - first + 1);
       for (u64 b = first; b <= last; ++b) {
         auto blockr = get_block_(p, a.fh, b, cred);
         if (!blockr.is_ok()) return rpc::make_error_reply(call, blockr.status());
-        const blob::BlobRef& data = *blockr;
+        blob::BlobRef& data = *blockr;
         u64 block_start = b * cfg_.fetch_block;
         u64 lo = std::max(block_start, a.offset);
         u64 hi = std::min(block_start + (data ? data->size() : 0), a.offset + n);
-        if (lo < hi) assembled.write_blob(lo - a.offset, data, lo - block_start, hi - lo);
+        if (lo < hi) pieces.push_back({lo - a.offset, hi - lo, std::move(data), lo - block_start});
       }
-      res->data = assembled.snapshot();
+      res->data = blob::make_pieces(std::move(pieces), n);
     }
     maybe_prefetch_(p, a.fh, last, size, cred);
   } else {

@@ -88,7 +88,7 @@ void BufferCache::touch_(u32 slot) {
   push_front_(slot);
 }
 
-void BufferCache::add_(u64 file, u64 page, blob::BlobRef data, bool dirty) {
+void BufferCache::add_(u64 file, u64 page, blob::BlobRef data, u32 off, bool dirty) {
   if ((resident_ + 1) * 4 > table_.size() * 3) grow_table_();
   u32 slot = free_;
   if (slot != kNil) {
@@ -102,6 +102,7 @@ void BufferCache::add_(u64 file, u64 page, blob::BlobRef data, bool dirty) {
   e.file = file;
   e.page = page;
   e.data = std::move(data);
+  e.off = off;
   e.live = true;
   e.dirty = dirty;
   push_front_(slot);
@@ -116,6 +117,7 @@ void BufferCache::remove_(u32 slot) {
   Entry& e = slab_[slot];
   if (e.dirty) dirty_count_.sub(1);
   e.data.reset();
+  e.off = 0;
   e.live = false;
   e.dirty = false;
   e.prev = kNil;
@@ -124,7 +126,7 @@ void BufferCache::remove_(u32 slot) {
   --resident_;
 }
 
-std::optional<blob::BlobRef> BufferCache::lookup(u64 file, u64 page_index) {
+std::optional<BufferCache::Page> BufferCache::lookup(u64 file, u64 page_index) {
   u32 slot = find_(file, page_index);
   if (slot == kNil) {
     misses_.inc();
@@ -132,18 +134,34 @@ std::optional<blob::BlobRef> BufferCache::lookup(u64 file, u64 page_index) {
   }
   hits_.inc();
   touch_(slot);
-  return slab_[slot].data;
+  const Entry& e = slab_[slot];
+  return Page{e.data, e.off, len_(e)};
 }
 
 void BufferCache::insert(sim::Process& p, u64 file, u64 page_index,
                          blob::BlobRef data, bool dirty) {
+  put_(p, file, page_index, std::move(data), 0, dirty);
+}
+
+void BufferCache::insert_block(sim::Process& p, u64 file, u64 first_page,
+                               blob::BlobRef block) {
+  const u64 size = block->size();
+  assert(size <= u64{kNil} + 1);  // page offsets fit Entry::off
+  for (u64 off = 0; off < size; off += page_size_) {
+    put_(p, file, first_page + off / page_size_, block, static_cast<u32>(off),
+         /*dirty=*/false);
+  }
+}
+
+void BufferCache::put_(sim::Process& p, u64 file, u64 page_index, blob::BlobRef data,
+                       u32 off, bool dirty) {
   u32 slot = find_(file, page_index);
   while (slot == kNil && resident_ >= capacity_pages_) {
     // Another process may have inserted this page while a writeback yielded.
     if (evict_one_(p)) slot = find_(file, page_index);
   }
   if (slot == kNil) {
-    add_(file, page_index, std::move(data), dirty);
+    add_(file, page_index, std::move(data), off, dirty);
     return;
   }
   Entry& e = slab_[slot];
@@ -152,6 +170,7 @@ void BufferCache::insert(sim::Process& p, u64 file, u64 page_index,
   if (!e.dirty || dirty) {
     if (dirty && !e.dirty) dirty_count_.add(1);
     e.data = std::move(data);
+    e.off = off;
     e.dirty = dirty;
   }
   touch_(slot);
@@ -236,8 +255,9 @@ void BufferCache::discard_file(u64 file, u64 from) {
     const u64 start = e.page * page_size_;
     if (start >= from) {
       remove_(slot);
-    } else if (e.data && start + e.data->size() > from) {
-      e.data = std::make_shared<blob::SliceBlob>(e.data, 0, from - start);
+    } else if (start + len_(e) > from) {
+      e.data = std::make_shared<blob::SliceBlob>(e.data, e.off, from - start);
+      e.off = 0;
     }
   }
 }

@@ -10,12 +10,23 @@
 //
 // Layout: pages live in a slab vector threaded by an index-linked LRU list
 // and a free list, and are found through an open-addressing table of slab
-// indices. Growing the slab moves entries, and the writeback callback may
-// yield to other processes that touch, re-dirty or drop pages, so no entry
-// reference or slot index is held across it: the page is copied out, written,
-// and looked up again by key.
+// indices. An entry is 48 bytes: file and page keys, the data ref, the
+// page's offset in it, the two LRU links and the live/dirty flags. Growing
+// the slab moves entries, and the writeback callback may yield to other
+// processes that touch, re-dirty or drop pages, so no entry reference or slot
+// index is held across it: the page is copied out, written, and looked up
+// again by key.
+//
+// A clean page filled from a fetched block (a READ reply, a disk cluster) is
+// a view of that block, not an object of its own: insert_block() stores the
+// block's ref in each of its pages with the page's offset, so a 32 KiB READ
+// costs eight entries and no allocation. Its bytes are data[off, off + len)
+// with len = min(page_size, data->size() - off). A dirty page is always a
+// whole blob with off == 0: insert(), the writeback callback, mark_clean(),
+// flush() and dirty_pages_of() deal in whole blobs.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -42,13 +53,26 @@ class BufferCache {
 
   void set_writeback(WritebackFn fn) { writeback_ = std::move(fn); }
 
-  // Returns the cached page data (page-sized, or shorter at EOF) and
-  // refreshes LRU position; nullopt on miss.
-  std::optional<blob::BlobRef> lookup(u64 file, u64 page_index);
+  // A cached page: bytes [off, off + len) of `data`. len is page-sized, or
+  // shorter at EOF.
+  struct Page {
+    blob::BlobRef data;
+    u64 off = 0;
+    u64 len = 0;
+  };
 
-  // Insert/replace a page. Evicts LRU pages as needed (dirty evictions call
-  // the writeback function with `p`).
+  // Returns the cached page and refreshes LRU position; nullopt on miss.
+  std::optional<Page> lookup(u64 file, u64 page_index);
+
+  // Insert/replace a page holding all of `data`. Evicts LRU pages as needed
+  // (dirty evictions call the writeback function with `p`).
   void insert(sim::Process& p, u64 file, u64 page_index, blob::BlobRef data, bool dirty);
+
+  // Insert a clean fetched block's pages first_page, first_page + 1, ... in
+  // page order, each a view of `block` (the last one shorter if the block
+  // is). Same rules as a clean insert() of each page: a dirty page is kept,
+  // and eviction may yield.
+  void insert_block(sim::Process& p, u64 file, u64 first_page, blob::BlobRef block);
 
   // Mark a page clean after an explicit writeback of `written`. A page that
   // was re-dirtied while that writeback yielded holds newer data and stays
@@ -65,8 +89,9 @@ class BufferCache {
   void invalidate_file(sim::Process& p, u64 file);
 
   // Drop a file's pages at or past byte `from` WITHOUT writeback, trimming
-  // the page that straddles it (truncate semantics: staged data past the
-  // truncation point must not be written back; staged data below it must).
+  // the page that straddles it to a blob of its own first bytes (truncate
+  // semantics: staged data past the truncation point must not be written
+  // back; staged data below it must).
   void discard_file(u64 file, u64 from = 0);
 
   // File keys that currently have dirty pages.
@@ -109,16 +134,25 @@ class BufferCache {
     blob::BlobRef data;
     u32 prev = kNil;  // towards the most recently used end
     u32 next = kNil;  // towards the least recently used end
+    u32 off = 0;      // the page's bytes start at data[off]; 0 if dirty
     bool live = false;
     bool dirty = false;
   };
+  static_assert(sizeof(Entry) <= 48);
+
+  [[nodiscard]] u64 len_(const Entry& e) const {
+    return e.data ? std::min<u64>(page_size_, e.data->size() - e.off) : 0;
+  }
 
   [[nodiscard]] std::size_t home_(u64 file, u64 page) const {
     return static_cast<std::size_t>(hash_combine(file, page)) & (table_.size() - 1);
   }
   [[nodiscard]] u32 find_(u64 file, u64 page) const;
   // Takes a slot, links it at the LRU head and indexes it.
-  void add_(u64 file, u64 page, blob::BlobRef data, bool dirty);
+  void add_(u64 file, u64 page, blob::BlobRef data, u32 off, bool dirty);
+  // insert() and insert_block()'s one page: data[off...], clean or dirty.
+  void put_(sim::Process& p, u64 file, u64 page_index, blob::BlobRef data, u32 off,
+            bool dirty);
   // Unindexes and unlinks a live slot and returns it to the free list.
   void remove_(u32 slot);
   void unlink_(u32 slot);

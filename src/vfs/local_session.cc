@@ -20,9 +20,8 @@ LocalFsSession::LocalFsSession(MemFs& fs, sim::DiskModel& disk, LocalSessionConf
   });
 }
 
-blob::BlobRef LocalFsSession::fetch_page_(sim::Process& p, FileId id, u64 file_size,
-                                          u64 page) {
-  if (auto hit = cache_.lookup(id, page)) return *hit;
+void LocalFsSession::fetch_page_(sim::Process& p, FileId id, u64 file_size, u64 page) {
+  if (cache_.lookup(id, page)) return;
 
   // Miss: read a readahead cluster from disk and populate all its pages.
   u64 pages_per_cluster = std::max<u64>(1, kReadaheadBytes / kPageSize);
@@ -39,24 +38,14 @@ blob::BlobRef LocalFsSession::fetch_page_(sim::Process& p, FileId id, u64 file_s
   last_page_[id] = cluster_first;
   disk_.access(p, bytes, loc);
 
-  blob::BlobRef cluster;
-  {
-    auto r = fs_.read_ref(id, start, bytes);
-    cluster = r.is_ok() ? *r : blob::make_zero(bytes);
+  auto r = fs_.read_ref(id, start, bytes);
+  blob::BlobRef cluster = r.is_ok() ? *r : blob::make_zero(bytes);
+  if (cluster->size() == 0) {
+    // Past EOF: the cluster's first page, empty.
+    cache_.insert(p, id, cluster_first, blob::zero_ref(0), /*dirty=*/false);
+  } else {
+    cache_.insert_block(p, id, cluster_first, std::move(cluster));
   }
-  blob::BlobRef wanted;
-  u64 n_pages = (cluster->size() + kPageSize - 1) / kPageSize;
-  for (u64 i = 0; i < std::max<u64>(n_pages, 1); ++i) {
-    u64 off = i * kPageSize;
-    u64 len = std::min<u64>(kPageSize, cluster->size() > off ? cluster->size() - off : 0);
-    blob::BlobRef pg = len > 0
-                           ? blob::BlobRef(std::make_shared<blob::SliceBlob>(cluster, off, len))
-                           : blob::make_zero(0);
-    cache_.insert(p, id, cluster_first + i, pg, /*dirty=*/false);
-    if (cluster_first + i == page) wanted = pg;
-  }
-  if (!wanted) wanted = blob::make_zero(0);
-  return wanted;
 }
 
 Result<Attr> LocalFsSession::stat(sim::Process& p, const std::string& path) {

@@ -47,9 +47,8 @@ class LocalFsSession final : public FsSession {
   void drop_caches() { cache_.drop_all(); }
 
  private:
-  // Fetch one page through the cache, charging disk on miss (with
-  // readahead). Returns page data clamped at EOF.
-  blob::BlobRef fetch_page_(sim::Process& p, FileId id, u64 file_size, u64 page);
+  // Bring one page into the cache, charging disk on miss (with readahead).
+  void fetch_page_(sim::Process& p, FileId id, u64 file_size, u64 page);
 
   MemFs& fs_;
   sim::DiskModel& disk_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "blob/extent_store.h"
 
 namespace gvfs::vm {
 
@@ -91,8 +90,7 @@ Status GuestFs::ensure_extents_(GFile& f, u64 needed_bytes) {
 
 Result<blob::BlobRef> GuestFs::frag_read_(sim::Process& p, const GFile& f, u64 offset,
                                           u64 len) {
-  blob::ExtentStore out;
-  out.truncate(len);
+  std::vector<blob::Piece> out;
   u64 pos = 0;
   while (pos < len) {
     u64 abs = offset + pos;
@@ -102,10 +100,11 @@ Result<blob::BlobRef> GuestFs::frag_read_(sim::Process& p, const GFile& f, u64 o
     GVFS_ASSIGN_OR_RETURN(
         blob::BlobRef piece,
         vm_.disk_read(p, slot_offset_(f.first_slot + ext) + within, n));
-    out.write_blob(pos, piece, 0, std::min<u64>(n, piece->size()));
+    u64 got = std::min<u64>(n, piece->size());
+    if (got > 0) out.push_back({pos, got, std::move(piece), 0});
     pos += n;
   }
-  return out.snapshot();
+  return blob::make_pieces(std::move(out), len);
 }
 
 Status GuestFs::frag_write_(sim::Process& p, GFile& f, u64 offset,

@@ -1,8 +1,8 @@
 #include "vm/redo_log.h"
 
 #include <algorithm>
+#include <vector>
 
-#include "blob/extent_store.h"
 
 namespace gvfs::vm {
 
@@ -35,8 +35,7 @@ bool RedoLog::covers(u64 disk_off) const {
 }
 
 Result<blob::BlobRef> RedoLog::read(sim::Process& p, u64 disk_off, u64 len) {
-  blob::ExtentStore out;
-  out.truncate(len);
+  std::vector<blob::Piece> out;
   u64 pos = 0;
   while (pos < len) {
     u64 abs = disk_off + pos;
@@ -47,10 +46,11 @@ Result<blob::BlobRef> RedoLog::read(sim::Process& p, u64 disk_off, u64 len) {
     if (it == index_.end()) return err(ErrCode::kNoEnt, "grain not in redo log");
     GVFS_ASSIGN_OR_RETURN(blob::BlobRef piece,
                           fs_.read(p, path_, it->second + within, n));
-    out.write_blob(pos, piece, 0, std::min<u64>(n, piece->size()));
+    u64 got = std::min<u64>(n, piece->size());
+    if (got > 0) out.push_back({pos, got, std::move(piece), 0});
     pos += n;
   }
-  return out.snapshot();
+  return blob::make_pieces(std::move(out), len);
 }
 
 }  // namespace gvfs::vm

@@ -79,8 +79,7 @@ Result<blob::BlobRef> VmMonitor::disk_read(sim::Process& p, u64 offset, u64 len)
   if (disk_fs_ == nullptr) return err(ErrCode::kInval, "VMM not attached");
   if (len == 0) return blob::BlobRef(blob::make_zero(0));
   p.delay(cfg_.guest_io_cpu);
-  blob::ExtentStore out;
-  out.truncate(len);
+  std::vector<blob::Piece> out;
   u64 first = offset / cfg_.guest_page;
   u64 last = (offset + len - 1) / cfg_.guest_page;
 
@@ -91,8 +90,11 @@ Result<blob::BlobRef> VmMonitor::disk_read(sim::Process& p, u64 offset, u64 len)
     if (cached) {
       u64 pg_start = pg * cfg_.guest_page;
       u64 lo = std::max(pg_start, offset);
-      u64 hi = std::min({pg_start + (*cached)->size(), offset + len});
-      if (lo < hi) out.write_blob(lo - offset, *cached, lo - pg_start, hi - lo);
+      u64 hi = std::min({pg_start + cached->len, offset + len});
+      if (lo < hi) {
+        out.push_back({lo - offset, hi - lo, std::move(cached->data),
+                       cached->off + (lo - pg_start)});
+      }
       ++pg;
       continue;
     }
@@ -114,20 +116,14 @@ Result<blob::BlobRef> VmMonitor::disk_read(sim::Process& p, u64 offset, u64 len)
     }
     host_reads_.inc();
     host_read_bytes_.inc(data->size());
-    for (u64 q = pg; q < run_end; ++q) {
-      u64 rel = (q - pg) * cfg_.guest_page;
-      if (rel >= data->size()) break;
-      u64 n = std::min<u64>(cfg_.guest_page, data->size() - rel);
-      guest_cache_->insert(p, kDiskKey, q,
-                           std::make_shared<blob::SliceBlob>(data, rel, n),
-                           /*dirty=*/false);
-    }
+    // The run's pages, up to the data's end, become views of it.
+    guest_cache_->insert_block(p, kDiskKey, pg, data);
     u64 lo = std::max(run_start_off, offset);
     u64 hi = std::min({run_start_off + data->size(), offset + len});
-    if (lo < hi) out.write_blob(lo - offset, data, lo - run_start_off, hi - lo);
+    if (lo < hi) out.push_back({lo - offset, hi - lo, std::move(data), lo - run_start_off});
     pg = run_end;
   }
-  return out.snapshot();
+  return blob::make_pieces(std::move(out), len);
 }
 
 Status VmMonitor::disk_write(sim::Process& p, u64 offset, blob::BlobRef data) {
@@ -150,7 +146,7 @@ Status VmMonitor::disk_write(sim::Process& p, u64 offset, blob::BlobRef data) {
       blob::ExtentStore compose;
       compose.truncate(cfg_.guest_page);
       if (cached) {
-        compose.write_blob(0, *cached, 0, (*cached)->size());
+        compose.write_blob(0, cached->data, cached->off, cached->len);
       } else {
         GVFS_ASSIGN_OR_RETURN(blob::BlobRef base,
                               disk_read(p, pg_start, cfg_.guest_page));

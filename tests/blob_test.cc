@@ -243,6 +243,68 @@ TEST(ExtentStoreProperty, RandomOpsMatchReference) {
   }
 }
 
+// Property: an ordered-pieces blob reads, zero-tests, compresses and
+// fingerprints every range exactly as the ExtentStore that the same pieces
+// were appended to, and as that store's snapshot.
+TEST(Pieces, MatchExtentStoreOverRandomRanges) {
+  std::vector<u8> raw(64_KiB);
+  for (u64 i = 0; i < raw.size(); ++i) raw[i] = static_cast<u8>(i * 7 % 251);
+  raw[5000] = 0;
+  std::fill(raw.begin() + 20000, raw.begin() + 36000, u8{0});
+  const std::vector<BlobRef> sources = {
+      make_synthetic(3, 1_MiB, 0.5, 2.5), make_zero(256_KiB), make_bytes(raw),
+      std::make_shared<SliceBlob>(make_synthetic(4, 1_MiB, 0.3, 3.0), 40_KiB, 512_KiB)};
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    SplitMix64 rng(seed);
+    std::vector<Piece> pieces;
+    ExtentStore store;
+    u64 pos = 0;
+    const u64 count = 1 + rng.next_below(120);
+    for (u64 i = 0; i < count; ++i) {
+      pos += rng.next_below(3) == 0 ? rng.next_below(6_KiB) : 0;  // a hole, or none
+      const BlobRef& src = sources[rng.next_below(sources.size())];
+      u64 len = 1 + rng.next_below(std::min<u64>(12_KiB, src->size()));
+      u64 src_off = rng.next_below(src->size() - len + 1);
+      pieces.push_back({pos, len, src, src_off});
+      store.write_blob(pos, src, src_off, len);
+      pos += len;
+    }
+    const u64 size = pos + rng.next_below(5_KiB);
+    store.truncate(size);
+    const BlobRef blob = make_pieces(pieces, size);
+    const BlobRef snap = store.snapshot();
+    ASSERT_EQ(blob->size(), size);
+    for (int r = 0; r < 150; ++r) {
+      u64 off = rng.next_below(size);
+      u64 len = 1 + rng.next_below(size - off);
+      if (rng.next_below(2) == 0) len = std::min<u64>(len, 1 + rng.next_below(9_KiB));
+      std::vector<u8> want(len);
+      store.read(off, want);
+      EXPECT_EQ(materialize(*blob, off, len), want) << "seed " << seed << " range " << r;
+      EXPECT_EQ(blob->is_zero_range(off, len), store.is_zero_range(off, len)) << "seed " << seed;
+      EXPECT_EQ(blob->compressed_size(off, len), store.compressed_size(off, len))
+          << "seed " << seed;
+      EXPECT_EQ(blob->fingerprint(kDefaultFingerprintSeed, off, len),
+                fnv1a64(want, fingerprint_init(kDefaultFingerprintSeed)))
+          << "seed " << seed;
+      EXPECT_EQ(blob->fingerprint(7, off, len), snap->fingerprint(7, off, len))
+          << "seed " << seed;
+      EXPECT_EQ(blob->compressed_size(off, len), snap->compressed_size(off, len));
+    }
+    // Ranges that start or end exactly on a piece's edge.
+    for (const Piece& pc : pieces) {
+      for (u64 off : {pc.start, pc.start + pc.len}) {
+        u64 len = std::min<u64>(3_KiB, size - off);
+        if (len == 0) continue;
+        EXPECT_EQ(blob->compressed_size(off, len), store.compressed_size(off, len));
+        EXPECT_EQ(blob->compressed_size(0, off + len), store.compressed_size(0, off + len));
+        EXPECT_EQ(blob->is_zero_range(off, len), store.is_zero_range(off, len));
+      }
+    }
+    EXPECT_EQ(blob->compressed_size(), store.compressed_size());
+  }
+}
+
 TEST(BlobTeardown, DeepSliceChainDestructsIteratively) {
   // Regression: a long write/suspend session builds a SliceBlob-over-snapshot
   // chain one link per buffered write; dropping the head used to recurse one
@@ -256,6 +318,29 @@ TEST(BlobTeardown, DeepSliceChainDestructsIteratively) {
   EXPECT_EQ(chain->size(), kPage);
   store.reset(nullptr);
   chain.reset();  // must unwind on a worklist, not the call stack
+
+  // Each link holds its child twice: dropping the first ref frees nothing,
+  // and the second, then the last, queues the child.
+  BlobRef twice = make_zero(kPage);
+  for (int i = 0; i < 200000; ++i) {
+    twice = make_pieces({{0, kPage / 2, twice, 0}, {kPage / 2, kPage / 2, twice, kPage / 2}},
+                        kPage);
+  }
+  EXPECT_EQ(twice->size(), kPage);
+  twice.reset();
+
+  // Each link's child is also held elsewhere, so dropping a link frees
+  // nothing below it until the outside holders go; the last one to go then
+  // frees the whole chain at once.
+  std::vector<BlobRef> held;
+  BlobRef shared = make_zero(kPage);
+  for (int i = 0; i < 200000; ++i) {
+    held.push_back(shared);
+    shared = i % 2 == 0 ? std::make_shared<SliceBlob>(shared, 0, kPage)
+                        : make_pieces({{0, kPage, shared, 0}}, kPage);
+  }
+  shared.reset();
+  for (BlobRef& ref : held) ref.reset();
 }
 
 // Reference FNV-1a over a byte range, seeded the fingerprint way.

@@ -270,13 +270,12 @@ long vm_rss_bytes() {
 
 // Inside one HeapReleaseScope, fills `bytes` of 32 KiB heap chunks (below
 // glibc's mmap threshold, so they come from the brk heap) and frees them
-// all but the highest one, which stays allocated past the scope so glibc's
-// own trim of the heap's top cannot return the freed pages. Returns VmRSS
-// growth over the start once the scope is gone.
-long rss_growth_after_freeing(std::size_t bytes) {
+// all but the highest one, which stays allocated past the scope, in `pins`,
+// so glibc's own trim of the heap's top cannot return the freed pages.
+// Returns VmRSS growth over the start once the scope is gone.
+long rss_growth_after_freeing(std::size_t bytes, std::vector<std::unique_ptr<char[]>>& pins) {
   constexpr std::size_t kChunk = 32 * 1024;
   const long start = vm_rss_bytes();
-  std::unique_ptr<char[]> top;
   {
     HeapReleaseScope scope;
     std::vector<std::unique_ptr<char[]>> chunks;
@@ -287,9 +286,14 @@ long rss_growth_after_freeing(std::size_t bytes) {
                                     [](const auto& a, const auto& b) {
                                       return std::less<>()(a.get(), b.get());
                                     });
-    top = std::move(*highest);
+    pins.push_back(std::move(*highest));
   }
   return vm_rss_bytes() - start;
+}
+
+long rss_growth_after_freeing(std::size_t bytes) {
+  std::vector<std::unique_ptr<char[]>> pins;
+  return rss_growth_after_freeing(bytes, pins);
 }
 
 bool glibc_malloc_in_use() {
@@ -309,6 +313,16 @@ TEST(HeapReleaseScope, LargeFreedHeapGoesBackToTheOs) {
 TEST(HeapReleaseScope, SmallFreedHeapKeepsItsPages) {
   if (!glibc_malloc_in_use()) GTEST_SKIP() << "the scope trims glibc's heap only";
   EXPECT_GE(rss_growth_after_freeing(16_MiB), 12L << 20);
+}
+
+// The second scope refills the pages the first one's trim gave back, so
+// the heap's free bytes do not grow while it lives; what it frees must
+// still go back.
+TEST(HeapReleaseScope, RefilledFreedHeapGoesBackToTheOsAgain) {
+  if (!glibc_malloc_in_use()) GTEST_SKIP() << "the scope trims glibc's heap only";
+  std::vector<std::unique_ptr<char[]>> pins;  // both fills stay below the heap's top
+  EXPECT_LT(rss_growth_after_freeing(96_MiB, pins), 16L << 20);
+  EXPECT_LT(rss_growth_after_freeing(96_MiB, pins), 16L << 20);
 }
 
 TEST(MutationEpoch, BumpAdvancesOnlyWhenCheckingIsCompiledIn) {

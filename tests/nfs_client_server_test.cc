@@ -220,6 +220,75 @@ TEST(NfsClientServer, TruncateKeepsStagedDataBelowNewSize) {
   EXPECT_EQ(blob::content_hash(**file), blob::content_hash(blob::SliceBlob(content, 0, cut)));
 }
 
+// The client caches a READ's pages as views of the reply at their offsets.
+// Truncating inside a page that does not start its block must keep that
+// page's own bytes, not the block's first ones.
+TEST(NfsClientServer, TruncateTrimsCachedPageAtItsOffset) {
+  Fixture f;
+  auto content = blob::make_synthetic(19, 64_KiB, 0, 2.0);
+  ASSERT_OK(f.fs.put_file("/exports/t", content));
+  const u64 cut = 36_KiB + 100;  // inside page 9, the second page of its block
+  f.run([&](sim::Process& p, NfsClient& c) {
+    auto first = c.read(p, "/t", 0, 64_KiB);
+    ASSERT_TRUE(first.is_ok());
+    ASSERT_EQ(c.page_cache().resident_pages(), 16u);
+    ASSERT_OK(c.truncate(p, "/t", cut));
+    EXPECT_EQ(c.page_cache().resident_pages(), 10u);
+    const u64 calls = f.server.total_calls();
+    auto again = c.read(p, "/t", 0, 64_KiB);
+    EXPECT_EQ(f.server.total_calls(), calls);  // served from the trimmed cache
+    ASSERT_TRUE(again.is_ok());
+    ASSERT_EQ((*again)->size(), cut);
+    EXPECT_EQ(blob::content_hash(**again),
+              blob::content_hash(blob::SliceBlob(content, 0, cut)));
+  });
+  auto file = f.fs.get_file("/exports/t");
+  ASSERT_TRUE(file.is_ok());
+  EXPECT_EQ(blob::content_hash(**file), blob::content_hash(blob::SliceBlob(content, 0, cut)));
+}
+
+// A second client's truncate holds the server's disk when a cold READ
+// arrives on another nfsd thread. The READ takes the file's size before the
+// truncate lands and its data after, once the disk answers. Its reply must
+// hold what the file holds then: the reader gets the bytes below the new
+// size and zeros past it, with no I/O error and no READ for the pages past
+// the new end.
+TEST(NfsClientServer, ColdReadRacingTruncateSeesTheNewSize) {
+  Fixture f;
+  auto content = blob::make_synthetic(23, 64_KiB, 0, 2.0);
+  ASSERT_OK(f.fs.put_file("/exports/t", content));
+  const u64 cut = 4_KiB + 100;  // inside page 1 of the first 8 KiB block
+  auto reader = f.make_client();
+  auto truncater = f.make_client();
+  f.kernel.run_process("mount", [&](sim::Process& p) {
+    ASSERT_OK(reader->mount(p, "/exports"));
+    ASSERT_OK(truncater->mount(p, "/exports"));
+    ASSERT_OK(reader->stat(p, "/t"));  // attributes cached: each op sends one RPC
+    ASSERT_OK(truncater->stat(p, "/t"));
+  });
+  Result<blob::BlobRef> got = err(ErrCode::kIo, "not run");
+  bool read_done = false;
+  f.kernel.spawn("truncater", [&](sim::Process& p) {
+    EXPECT_OK(truncater->truncate(p, "/t", cut));
+    EXPECT_EQ(f.server.calls(Proc::kRead), 1u);  // the READ came in meanwhile
+    EXPECT_FALSE(read_done);
+  });
+  f.kernel.spawn(
+      "reader",
+      [&](sim::Process& p) {
+        got = reader->read(p, "/t", 0, 32_KiB);
+        read_done = true;
+      },
+      50 * kMicrosecond);
+  f.kernel.run();
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  ASSERT_EQ((*got)->size(), 32_KiB);
+  EXPECT_EQ(blob::range_hash(**got, 0, cut), blob::range_hash(*content, 0, cut));
+  EXPECT_TRUE((*got)->is_zero_range(cut, 32_KiB - cut));
+  EXPECT_EQ(reader->rpcs_sent(Proc::kRead), 1u);
+}
+
 TEST(NfsClientServer, TruncateToZeroSendsOnlySetattr) {
   Fixture f;
   f.run([&](sim::Process& p, NfsClient& c) {

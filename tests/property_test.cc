@@ -960,12 +960,15 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The flat slab + open-addressing vfs::BufferCache must be observably identical
 // to the std::list + std::unordered_map cache it replaced: same return values,
-// same LRU victims, same counters, same writeback sequence.
+// same LRU victims, same counters, same writeback sequence. Its clean pages
+// filled by insert_block() are views of the block; the reference holds them
+// as one SliceBlob per page, so they compare by bytes and length.
 
 // The replaced list + map cache, kept as the reference.
 class RefBufferCache {
  public:
-  explicit RefBufferCache(u64 capacity_pages) : capacity_pages_(capacity_pages) {}
+  RefBufferCache(u64 capacity_pages, u64 page_size)
+      : capacity_pages_(capacity_pages), page_size_(page_size) {}
 
   void set_writeback(vfs::BufferCache::WritebackFn fn) { writeback_ = std::move(fn); }
 
@@ -998,6 +1001,14 @@ class RefBufferCache {
     lru_.push_front(Entry{key, std::move(data), dirty});
     map_.emplace(key, lru_.begin());
     if (dirty) ++dirty_pages;
+  }
+
+  void insert_block(sim::Process& p, u64 file, u64 first_page, const blob::BlobRef& block) {
+    for (u64 off = 0; off < block->size(); off += page_size_) {
+      u64 n = std::min(page_size_, block->size() - off);
+      insert(p, file, first_page + off / page_size_,
+             std::make_shared<blob::SliceBlob>(block, off, n), false);
+    }
   }
 
   void mark_clean(u64 file, u64 page, const blob::BlobRef& written) {
@@ -1039,15 +1050,19 @@ class RefBufferCache {
     discard_file(file);
   }
 
-  void discard_file(u64 file) {
+  void discard_file(u64 file, u64 from = 0) {
     for (auto it = lru_.begin(); it != lru_.end();) {
-      if (it->key.file == file) {
+      const u64 start = it->key.page * page_size_;
+      if (it->key.file == file && start >= from) {
         if (it->dirty) --dirty_pages;
         map_.erase(it->key);
         it = lru_.erase(it);
-      } else {
-        ++it;
+        continue;
       }
+      if (it->key.file == file && start + it->data->size() > from) {
+        it->data = std::make_shared<blob::SliceBlob>(it->data, 0, from - start);
+      }
+      ++it;
     }
   }
 
@@ -1105,19 +1120,42 @@ class RefBufferCache {
   }
 
   u64 capacity_pages_;
+  u64 page_size_;
   LruList lru_;
   std::unordered_map<Key, LruList::iterator, KeyHash> map_;
   vfs::BufferCache::WritebackFn writeback_;
 };
 
+// A written-back or dirty page, by content: a trimmed page is a new blob in
+// each cache, so the two logs cannot compare blob identity.
 struct PageWb {
   u64 file;
   u64 page;
-  const blob::Blob* data;
+  u64 size;
+  u64 hash;
   bool operator==(const PageWb& o) const {
-    return file == o.file && page == o.page && data == o.data;
+    return file == o.file && page == o.page && size == o.size && hash == o.hash;
   }
 };
+
+PageWb page_wb(u64 file, u64 page, const blob::BlobRef& data) {
+  return {file, page, data->size(), blob::content_hash(*data)};
+}
+
+std::vector<PageWb> dirty_wbs(u64 file, const std::vector<std::pair<u64, blob::BlobRef>>& pages) {
+  std::vector<PageWb> out;
+  for (const auto& [page, data] : pages) out.push_back(page_wb(file, page, data));
+  return out;
+}
+
+// A cache's own dirty blob at (file, page), if any.
+std::optional<blob::BlobRef> dirty_blob(
+    const std::vector<std::pair<u64, blob::BlobRef>>& dirty_pages, u64 page) {
+  for (const auto& [pg, data] : dirty_pages) {
+    if (pg == page) return data;
+  }
+  return std::nullopt;
+}
 
 struct BufferCacheParam {
   u64 seed;
@@ -1131,14 +1169,14 @@ TEST_P(BufferCacheEquivalence, RandomOpsMatchListMapReference) {
   constexpr u32 kPage = 4_KiB;
   sim::SimKernel kernel;
   vfs::BufferCache cache(param.capacity_pages * kPage, kPage);
-  RefBufferCache ref(param.capacity_pages);
+  RefBufferCache ref(param.capacity_pages, kPage);
   std::vector<PageWb> real_log;
   std::vector<PageWb> ref_log;
   cache.set_writeback([&](sim::Process&, u64 file, u64 page, const blob::BlobRef& data) {
-    real_log.push_back({file, page, data.get()});
+    real_log.push_back(page_wb(file, page, data));
   });
   ref.set_writeback([&](sim::Process&, u64 file, u64 page, const blob::BlobRef& data) {
-    ref_log.push_back({file, page, data.get()});
+    ref_log.push_back(page_wb(file, page, data));
   });
 
   // Key pool: half the keys share their home bucket in every table up to 64
@@ -1157,11 +1195,28 @@ TEST_P(BufferCacheEquivalence, RandomOpsMatchListMapReference) {
 
   kernel.run_process("replay", [&](sim::Process& p) {
     SplitMix64 rng(param.seed);
-    u8 tag = 0;
-    auto fresh = [&] { return blob::make_bytes(std::vector<u8>{++tag}); };
+    u32 tag = 0;
+    auto fresh = [&] {
+      ++tag;
+      return blob::make_bytes(std::vector<u8>{static_cast<u8>(tag), static_cast<u8>(tag >> 8),
+                                              static_cast<u8>(tag >> 16), 0xfe});
+    };
+    // A fetched block of one to four pages, the last one possibly short.
+    // Its bytes come from a stream seeded with its tag, so a page of more
+    // than a few bytes matches no other page of any block: a stale view
+    // that a lookup returns shows as a byte mismatch.
+    auto fresh_block = [&] {
+      ++tag;
+      u64 tail = rng.next_below(kPage);
+      u64 size = rng.next_below(4) * kPage + (tail == 0 ? kPage : tail);
+      SplitMix64 bytes(hash_combine(param.seed, tag));
+      std::vector<u8> v(size);
+      for (u8& b : v) b = static_cast<u8>(bytes.next());
+      return blob::make_bytes(std::move(v));
+    };
     for (int op = 0; op < 6000; ++op) {
       auto [file, page] = keys[rng.next_below(keys.size())];
-      switch (rng.next_below(16)) {
+      switch (rng.next_below(17)) {
         case 0:
         case 1:
         case 2:
@@ -1176,24 +1231,37 @@ TEST_P(BufferCacheEquivalence, RandomOpsMatchListMapReference) {
         case 5:
         case 6:
         case 7:
-        case 8: {  // lookup: same hit and the very same blob
+        case 8: {  // lookup: same hit and the same bytes; a whole-blob page
+                   // is the very same blob
           auto got = cache.lookup(file, page);
           auto want = ref.lookup(file, page);
           ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
           if (got) {
-            EXPECT_EQ(got->get(), want->get()) << "op " << op;
+            ASSERT_EQ(got->len, (*want)->size()) << "op " << op;
+            std::vector<u8> got_bytes(got->len);
+            std::vector<u8> want_bytes(got->len);
+            got->data->read(got->off, got_bytes);
+            (*want)->read(0, want_bytes);
+            EXPECT_EQ(got_bytes, want_bytes) << "op " << op;
+            if (dynamic_cast<const blob::SliceBlob*>(want->get()) == nullptr) {
+              EXPECT_EQ(got->data.get(), want->get()) << "op " << op;
+              EXPECT_EQ(got->off, 0u) << "op " << op;
+            }
           }
           break;
         }
-        case 9: {  // mark clean with the resident blob or a stale one
-          std::optional<blob::BlobRef> current;
-          for (const auto& [pg, data] : ref.dirty_pages_of(file)) {
-            if (pg == page) current = data;
+        case 9: {  // mark clean with each cache's resident blob or a stale one
+          auto real_current = dirty_blob(cache.dirty_pages_of(file), page);
+          auto ref_current = dirty_blob(ref.dirty_pages_of(file), page);
+          ASSERT_EQ(real_current.has_value(), ref_current.has_value()) << "op " << op;
+          if (real_current && rng.next_below(4) != 0) {
+            cache.mark_clean(file, page, *real_current);
+            ref.mark_clean(file, page, *ref_current);
+          } else {
+            blob::BlobRef stale = fresh();
+            cache.mark_clean(file, page, stale);
+            ref.mark_clean(file, page, stale);
           }
-          blob::BlobRef written =
-              current && rng.next_below(4) != 0 ? *current : fresh();
-          cache.mark_clean(file, page, written);
-          ref.mark_clean(file, page, written);
           break;
         }
         case 10: {  // flush one file or all
@@ -1205,13 +1273,17 @@ TEST_P(BufferCacheEquivalence, RandomOpsMatchListMapReference) {
           cache.invalidate_file(p, file);
           ref.invalidate_file(p, file);
           break;
-        case 12:
-          cache.discard_file(file);
-          ref.discard_file(file);
+        case 12: {  // truncate: everything, or from a random byte on
+          u64 from = rng.next_below(2) == 0 ? 0 : rng.next_below(14 * kPage);
+          cache.discard_file(file, from);
+          ref.discard_file(file, from);
           break;
+        }
         case 13: {  // read-only views
           EXPECT_EQ(cache.dirty_files(), ref.dirty_files()) << "op " << op;
-          EXPECT_EQ(cache.dirty_pages_of(file), ref.dirty_pages_of(file)) << "op " << op;
+          EXPECT_EQ(dirty_wbs(file, cache.dirty_pages_of(file)),
+                    dirty_wbs(file, ref.dirty_pages_of(file)))
+              << "op " << op;
           EXPECT_EQ(cache.contains(file, page), ref.contains(file, page)) << "op " << op;
           break;
         }
@@ -1221,14 +1293,20 @@ TEST_P(BufferCacheEquivalence, RandomOpsMatchListMapReference) {
             ref.drop_all();
           }
           break;
-        case 15: {  // re-insert the resident blob dirty (same data, re-staged)
+        case 15: {  // re-insert the resident bytes dirty (same data, re-staged)
           auto got = cache.lookup(file, page);
           auto want = ref.lookup(file, page);
           ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
           if (got) {
-            cache.insert(p, file, page, *got, true);
+            cache.insert(p, file, page, *want, true);
             ref.insert(p, file, page, *want, true);
           }
+          break;
+        }
+        case 16: {  // a clean multi-page READ reply lands
+          blob::BlobRef block = fresh_block();
+          cache.insert_block(p, file, page, block);
+          ref.insert_block(p, file, page, block);
           break;
         }
       }

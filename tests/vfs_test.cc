@@ -244,7 +244,7 @@ TEST(BufferCache, CleanRefillDoesNotClobberDirty) {
     bc.insert(p, 1, 0, bytes({1}), false);  // stale clean refill
     auto got = bc.lookup(1, 0);
     std::vector<u8> buf(1);
-    (*got)->read(0, buf);
+    got->data->read(got->off, buf);
     EXPECT_EQ(buf[0], 9);  // dirty data preserved
   });
   EXPECT_EQ(bc.dirty_pages(), 1u);
@@ -280,6 +280,114 @@ TEST(BufferCache, DiscardDropsWithoutWriteback) {
   });
   EXPECT_EQ(writebacks, 0);
   EXPECT_EQ(bc.dirty_pages(), 0u);
+}
+
+// A block's bytes: position i holds i * 7 mod 251, so any two offsets less
+// than 251 bytes apart, and any two page starts, read differently.
+blob::BlobRef patterned(u64 size) {
+  std::vector<u8> v(size);
+  for (u64 i = 0; i < size; ++i) v[i] = static_cast<u8>(i * 7 % 251);
+  return blob::make_bytes(std::move(v));
+}
+
+std::vector<u8> page_bytes(const BufferCache::Page& pg) {
+  std::vector<u8> out(pg.len);
+  pg.data->read(pg.off, out);
+  return out;
+}
+
+std::vector<u8> blob_bytes(const blob::BlobRef& b, u64 off, u64 len) {
+  std::vector<u8> out(len);
+  b->read(off, out);
+  return out;
+}
+
+TEST(BufferCache, InsertBlockPagesViewTheBlock) {
+  sim::SimKernel k;
+  const blob::BlobRef block = patterned(14_KiB);
+  const blob::BlobRef staged = bytes({9});
+  // `views` takes the block whole; `singles` takes the same pages as four
+  // single inserts. Both start with page 2 staged dirty and an older page.
+  BufferCache views(6 * 4_KiB, 4_KiB);
+  BufferCache singles(6 * 4_KiB, 4_KiB);
+  std::vector<u64> written;
+  auto log = [&](sim::Process&, u64, u64 page, const blob::BlobRef&) {
+    written.push_back(page);
+  };
+  views.set_writeback(log);
+  singles.set_writeback(log);
+  k.run_process("p", [&](sim::Process& p) {
+    for (BufferCache* bc : {&views, &singles}) {
+      bc->insert(p, 2, 0, bytes({1}), false);
+      bc->insert(p, 1, 2, staged, true);
+    }
+    views.insert_block(p, 1, 0, block);
+    for (u64 i = 0; i < 4; ++i) {
+      u64 n = std::min<u64>(4_KiB, 14_KiB - i * 4_KiB);
+      singles.insert(p, 1, i, std::make_shared<blob::SliceBlob>(block, i * 4_KiB, n), false);
+    }
+    EXPECT_EQ(views.resident_pages(), 5u);
+    EXPECT_EQ(views.dirty_pages(), 1u);
+    // Each clean page views the block at its own offset; the last is short.
+    for (u64 i : {0u, 1u, 3u}) {
+      ASSERT_TRUE(views.contains(1, i));
+    }
+    // Evict everything through fresh inserts: both caches drop the same
+    // pages in the same order, so the block's pages took the same LRU spots
+    // as four single inserts.
+    for (u64 i = 0; i < 6; ++i) {
+      for (BufferCache* bc : {&views, &singles}) bc->insert(p, 3, i, bytes({2}), false);
+      for (u64 file : {1u, 2u}) {
+        for (u64 pg = 0; pg < 4; ++pg) {
+          EXPECT_EQ(views.contains(file, pg), singles.contains(file, pg))
+              << "after " << i << " inserts: file " << file << " page " << pg;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(views.evictions(), singles.evictions());
+  EXPECT_EQ(written, (std::vector<u64>{2, 2}));
+  k.run_process("views", [&](sim::Process& p) {
+    views.insert(p, 1, 2, staged, true);
+    views.insert_block(p, 1, 0, block);
+    for (u64 i = 0; i < 4; ++i) {
+      auto got = views.lookup(1, i);
+      ASSERT_TRUE(got.has_value());
+      if (i == 2) {
+        // The staged page keeps its blob: a clean refill never clobbers it.
+        EXPECT_EQ(got->data, staged);
+        EXPECT_EQ(got->off, 0u);
+        EXPECT_EQ(got->len, 1u);
+        continue;
+      }
+      EXPECT_EQ(got->data, block);
+      EXPECT_EQ(got->off, i * 4_KiB);
+      EXPECT_EQ(got->len, i == 3 ? 2_KiB : 4_KiB);
+      EXPECT_EQ(page_bytes(*got), blob_bytes(block, i * 4_KiB, got->len));
+    }
+  });
+}
+
+TEST(BufferCache, DiscardTrimsViewPageAtItsOffset) {
+  sim::SimKernel k;
+  const blob::BlobRef block = patterned(14_KiB);
+  BufferCache bc(64_KiB, 4_KiB);
+  const u64 from = 8_KiB + 1000;  // mid-way through the block's page 2
+  k.run_process("p", [&](sim::Process& p) {
+    bc.insert_block(p, 1, 0, block);
+    bc.discard_file(1, from);
+    EXPECT_FALSE(bc.contains(1, 3));
+    auto trimmed = bc.lookup(1, 2);
+    ASSERT_TRUE(trimmed.has_value());
+    EXPECT_EQ(trimmed->len, 1000u);
+    EXPECT_EQ(page_bytes(*trimmed), blob_bytes(block, 8_KiB, 1000));
+    auto kept = bc.lookup(1, 1);
+    ASSERT_TRUE(kept.has_value());
+    EXPECT_EQ(kept->data, block);
+    EXPECT_EQ(kept->off, 4_KiB);
+    EXPECT_EQ(kept->len, 4_KiB);
+  });
+  EXPECT_EQ(bc.resident_pages(), 3u);
 }
 
 TEST(BufferCache, DirtyFilesLists) {
@@ -320,7 +428,7 @@ TEST(BufferCache, EvictionSurvivesLookupDuringYieldingWriteback) {
     auto got = bc.lookup(1, 1);
     ASSERT_TRUE(got.has_value());
     std::vector<u8> buf(1);
-    (*got)->read(0, buf);
+    got->data->read(got->off, buf);
     EXPECT_EQ(buf[0], 11);
     EXPECT_EQ(bc.flush(p), 2u);
   });
