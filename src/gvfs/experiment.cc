@@ -7,7 +7,7 @@ Result<VmSetup> prepare_vm(sim::Process& p, Testbed& bed, const VmSetupOptions& 
   GVFS_ASSIGN_OR_RETURN(out.image, bed.install_image(opt.spec));
   GVFS_RETURN_IF_ERROR(bed.mount(p, opt.node));
   vfs::FsSession& session = bed.image_session(opt.node);
-  out.vm = std::make_unique<vm::VmMonitor>(opt.vmm);
+  out.vm = std::make_unique<vm::VmMonitor>();
   out.vm->attach(session, out.image.cfg(), out.image.vmss(), session,
                  out.image.flat_vmdk());
   if (opt.resume) {

@@ -19,7 +19,6 @@ struct VmSetup {
 
 struct VmSetupOptions {
   vm::VmImageSpec spec;
-  vm::VmmConfig vmm;
   int node = 0;
   // Resume (full .vmss read) before returning. App-execution experiments
   // measure run time only, so they skip it; cloning experiments go through

@@ -6,7 +6,7 @@ Result<MigrationResult> migrate_vm(sim::Process& p, Testbed& bed,
                                    const vm::VmImagePaths& image,
                                    vm::VmMonitor& src_vm,
                                    blob::BlobRef new_memory_state, int src_node,
-                                   int dst_node, const vm::VmmConfig& vmm) {
+                                   int dst_node) {
   MigrationResult out;
 
   // 1. Suspend at the source: guest sync + full memory-state write. With a
@@ -34,7 +34,7 @@ Result<MigrationResult> migrate_vm(sim::Process& p, Testbed& bed,
   //    disk on demand.
   GVFS_RETURN_IF_ERROR(bed.mount(p, dst_node));
   vfs::FsSession& dst = bed.image_session(dst_node);
-  out.vm = std::make_unique<vm::VmMonitor>(vmm);
+  out.vm = std::make_unique<vm::VmMonitor>();
   out.vm->attach(dst, image.cfg(), image.vmss(), dst, image.flat_vmdk());
   GVFS_RETURN_IF_ERROR(out.vm->resume(p));
   out.timing.resume_s = to_seconds(p.now() - t3);

@@ -43,6 +43,6 @@ Result<MigrationResult> migrate_vm(sim::Process& p, Testbed& bed,
                                    const vm::VmImagePaths& image,
                                    vm::VmMonitor& src_vm,
                                    blob::BlobRef new_memory_state, int src_node,
-                                   int dst_node, const vm::VmmConfig& vmm = {});
+                                   int dst_node);
 
 }  // namespace gvfs::core

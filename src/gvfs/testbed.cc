@@ -154,9 +154,6 @@ Testbed::Testbed(TestbedOptions opt) : opt_(std::move(opt)) {
     kernel_.seed_rng(opt_.fault_seed);
     faults_ = std::make_unique<sim::FaultInjector>(kernel_, opt_.fault);
     faults_->register_metrics(registry_, "faults.");
-    // Latency spikes hit the shared WAN pipe both ways.
-    wan_up_->set_fault_injector(faults_.get());
-    wan_down_->set_fault_injector(faults_.get());
   }
 
   if (opt_.scenario != Scenario::kLocal) {
@@ -314,7 +311,6 @@ void Testbed::resolve_shared_node_config_() {
   }
   if (plain) return;
 
-  node_cfg_.proxy.fetch_block = static_cast<u32>(opt_.block_cache.block_size);
   node_cfg_.proxy.enable_meta = node_cfg_.cached && opt_.enable_meta;
   if (node_cfg_.cached) node_cfg_.proxy.prefetch_depth = opt_.prefetch_depth;
   node_cfg_.proxy.degraded_mode = opt_.degraded_proxy;

@@ -125,7 +125,7 @@ struct TestbedOptions {
   // Off by default: no injector, no retry layer, no RNG draws — behaviour
   // (and bench output) is byte-identical to a faultless build.
   bool enable_fault_injection = false;
-  sim::FaultConfig fault;        // drops / latency spikes / partitions / crashes
+  sim::FaultConfig fault;        // drops / partitions / crashes
   rpc::RetryConfig retry;        // client retransmission policy (hard mount)
   bool degraded_proxy = false;   // client proxies serve caches during outages
   u64 fault_seed = 0x5eed;       // seeds the kernel RNG (faults + retry jitter)

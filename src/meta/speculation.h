@@ -37,21 +37,8 @@ enum class Recommendation {
 
 const char* recommendation_name(Recommendation r);
 
-struct KnowledgePolicy {
-  // Consider a file "fully read" above this touched fraction.
-  double full_read_threshold = 0.9;
-  // Require this many consistent sessions before speculating.
-  u32 min_sessions = 2;
-  // Zero maps pay off above this zero fraction.
-  double zero_map_threshold = 0.5;
-};
-
 class KnowledgeBase {
  public:
-  using Policy = KnowledgePolicy;
-
-  explicit KnowledgeBase(Policy policy = {}) : policy_(policy) {}
-
   // Record what a finished session observed. `file_class` is a stable key,
   // e.g. the file's extension ("vmss") or a middleware-assigned tag.
   void record(const std::string& app, const std::string& file_class,
@@ -68,7 +55,7 @@ class KnowledgeBase {
 
   // Serialize/restore (middleware persists its knowledge between sessions).
   [[nodiscard]] std::string serialize() const;
-  static Result<KnowledgeBase> parse(const std::string& text, Policy policy = {});
+  static Result<KnowledgeBase> parse(const std::string& text);
 
   bool operator==(const KnowledgeBase& o) const { return stats_ == o.stats_; }
 
@@ -90,7 +77,6 @@ class KnowledgeBase {
     return app + "\t" + file_class;
   }
 
-  Policy policy_;
   std::map<std::string, Stats> stats_;
 };
 

@@ -47,6 +47,7 @@ GvfsProxy::GvfsProxy(ProxyConfig cfg, rpc::RpcChannel& upstream)
 
 void GvfsProxy::attach_block_cache(cache::ProxyDiskCache& c) {
   block_cache_ = &c;
+  fetch_block_ = static_cast<u32>(c.config().block_size);
   c.set_writeback([this](sim::Process& p, const cache::BlockId& id,
                          const blob::BlobRef& data) {
     return cache_writeback_(p, id, data);
@@ -214,7 +215,7 @@ const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
     auto rargs = std::make_shared<nfs::ReadArgs>();
     rargs->fh = meta_fh;
     rargs->offset = off;
-    rargs->count = static_cast<u32>(std::min<u64>(cfg_.fetch_block, meta_size - off));
+    rargs->count = static_cast<u32>(std::min<u64>(fetch_block_, meta_size - off));
     auto rres = upstream_as_<nfs::ReadRes>(p, Proc::kRead, rargs, cred);
     if (!rres.is_ok() || (*rres)->status != NfsStat::kOk || (*rres)->count == 0) {
       return none();
@@ -267,11 +268,11 @@ Result<blob::BlobRef> GvfsProxy::get_block_(sim::Process& p, const Fh& fh, u64 b
     // resident under any other file/block are aliased locally instead of
     // fetched upstream (the dedup generalization of zero-block filtering).
     const meta::MetaFile& m = *f->meta;
-    if (m.has_fingerprints() && m.fp_block_size() == cfg_.fetch_block &&
+    if (m.has_fingerprints() && m.fp_block_size() == fetch_block_ &&
         m.fp_seed() == block_cache_->config().dedup_seed) {
-      u64 off = block * cfg_.fetch_block;
+      u64 off = block * fetch_block_;
       if (off < m.file_size()) {
-        u64 len = std::min<u64>(cfg_.fetch_block, m.file_size() - off);
+        u64 len = std::min<u64>(fetch_block_, m.file_size() - off);
         if (auto shared =
                 block_cache_->lookup_fingerprint(m.block_fingerprint(block), len)) {
           dedup_filtered_.inc();
@@ -310,8 +311,8 @@ Result<blob::BlobRef> GvfsProxy::fetch_block_upstream_(sim::Process& p, const Fh
   cache::BlockId id{fh.key(), block};
   auto rargs = std::make_shared<nfs::ReadArgs>();
   rargs->fh = fh;
-  rargs->offset = block * cfg_.fetch_block;
-  rargs->count = cfg_.fetch_block;
+  rargs->offset = block * fetch_block_;
+  rargs->count = fetch_block_;
   GVFS_ASSIGN_OR_RETURN(auto rres, upstream_as_<nfs::ReadRes>(p, Proc::kRead, rargs, cred));
   if (rres->status != NfsStat::kOk) return err(rres->status, "upstream read");
   if (rres->attr.attr) remember_attr_(fh, *rres->attr.attr, p.now());
@@ -357,7 +358,7 @@ void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
   std::vector<rpc::RpcCall> calls;
   std::vector<u64> blocks;
   for (u64 b = refill_from; b <= refill_to; ++b) {
-    u64 start = b * cfg_.fetch_block;
+    u64 start = b * fetch_block_;
     if (start >= file_size) break;
     if (block_cache_->contains(cache::BlockId{fh.key(), b})) continue;
     // Staged bytes (queued, in flight or parked) are newer than the
@@ -367,7 +368,7 @@ void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
     auto args = std::make_shared<nfs::ReadArgs>();
     args->fh = fh;
     args->offset = start;
-    args->count = cfg_.fetch_block;
+    args->count = fetch_block_;
     calls.push_back(nfs_call_(Proc::kRead, std::move(args), cred));
     blocks.push_back(b);
   }
@@ -397,7 +398,7 @@ Status GvfsProxy::cache_writeback_(sim::Process& p, const cache::BlockId& id,
   // These bytes are now the newest for their key: they replace whatever the
   // log held there, parked copies included, so a reconnect replay (possibly
   // triggered by this very write-back landing) cannot put older bytes back.
-  const LogKey key{id.file_key, id.block * cfg_.fetch_block};
+  const LogKey key{id.file_key, id.block * fetch_block_};
   PendingWrite& w = stage_(fh, key, data, /*parked=*/false);
   if (cfg_.async_writeback) {
     // Asynchronous write-back: the background flusher drains the log as
@@ -753,8 +754,8 @@ std::optional<blob::BlobRef> GvfsProxy::staged_block_(u64 file_key, u64 block,
   // here are only meaningful while the log holds still; a yield sneaking
   // into this assembly would let a settle erase them mid-sort.
   YieldGuard yield_free(log_epoch_);
-  const u64 block_lo = block * cfg_.fetch_block;
-  const u64 block_hi = block_lo + cfg_.fetch_block;
+  const u64 block_lo = block * fetch_block_;
+  const u64 block_hi = block_lo + fetch_block_;
   using Iter = std::map<LogKey, PendingWrite>::const_iterator;
   Iter only = log_.end();
   std::vector<Iter> hits;  // allocated only when several entries overlap
@@ -775,14 +776,14 @@ std::optional<blob::BlobRef> GvfsProxy::staged_block_(u64 file_key, u64 block,
   if (only == log_.end()) return std::nullopt;
   // The common case: one block-aligned write-back entry is the block.
   if (hits.empty() && only->first.second == block_lo &&
-      only->second.data->size() <= cfg_.fetch_block) {
+      only->second.data->size() <= fetch_block_) {
     return only->second.data;
   }
   if (hits.empty()) hits.push_back(only);
   std::sort(hits.begin(), hits.end(),
             [](Iter a, Iter b) { return a->second.seq < b->second.seq; });
   blob::ExtentStore assembled;
-  assembled.truncate(cfg_.fetch_block);
+  assembled.truncate(fetch_block_);
   u64 covered_hi = 0;
   for (Iter it : hits) {
     const u64 off = it->first.second;
@@ -804,7 +805,7 @@ void GvfsProxy::drop_staged_(u64 file_key, u64 size) {
     // Frames wholly past the new EOF go unwritten; the one straddling it is
     // pushed whole (the truncate that follows cuts its tail).
     block_cache_->invalidate_file(file_key,
-                                  (size + cfg_.fetch_block - 1) / cfg_.fetch_block);
+                                  (size + fetch_block_ - 1) / fetch_block_);
   }
   for (auto it = log_.lower_bound({file_key, 0});
        it != log_.end() && it->first.first == file_key;) {
@@ -1171,15 +1172,15 @@ rpc::RpcReply GvfsProxy::handle_read_(sim::Process& p, const rpc::RpcCall& call,
 
   auto res = std::make_shared<nfs::ReadRes>();
   if (n > 0) {
-    u64 first = a.offset / cfg_.fetch_block;
-    u64 last = (a.offset + n - 1) / cfg_.fetch_block;
+    u64 first = a.offset / fetch_block_;
+    u64 last = (a.offset + n - 1) / fetch_block_;
     if (first == last) {
       // Single-block read: reference the cached block directly (whole-block
       // reads, the common case) or slice it — no extent map, no copy.
       auto blockr = get_block_(p, a.fh, first, cred);
       if (!blockr.is_ok()) return rpc::make_error_reply(call, blockr.status());
       const blob::BlobRef& data = *blockr;
-      u64 block_start = first * cfg_.fetch_block;
+      u64 block_start = first * fetch_block_;
       u64 off_in_block = a.offset - block_start;
       if (data && data->size() >= off_in_block + n) {
         res->data = (off_in_block == 0 && data->size() == n)
@@ -1199,7 +1200,7 @@ rpc::RpcReply GvfsProxy::handle_read_(sim::Process& p, const rpc::RpcCall& call,
         auto blockr = get_block_(p, a.fh, b, cred);
         if (!blockr.is_ok()) return rpc::make_error_reply(call, blockr.status());
         blob::BlobRef& data = *blockr;
-        u64 block_start = b * cfg_.fetch_block;
+        u64 block_start = b * fetch_block_;
         u64 lo = std::max(block_start, a.offset);
         u64 hi = std::min(block_start + (data ? data->size() : 0), a.offset + n);
         if (lo < hi) pieces.push_back({lo - a.offset, hi - lo, std::move(data), lo - block_start});
@@ -1295,15 +1296,15 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
   std::optional<vfs::Attr> attr = cached_attr_(a.fh, p.now());
   u64 known = effective_size_(a.fh, attr);
   u64 end = a.offset + a.count;
-  u64 first = a.offset / cfg_.fetch_block;
-  u64 last = a.count > 0 ? (end - 1) / cfg_.fetch_block : first;
+  u64 first = a.offset / fetch_block_;
+  u64 last = a.count > 0 ? (end - 1) / fetch_block_ : first;
   for (u64 b = first; b <= last; ++b) {
-    u64 block_start = b * cfg_.fetch_block;
+    u64 block_start = b * fetch_block_;
     u64 lo = std::max(block_start, a.offset);
-    u64 hi = std::min(block_start + cfg_.fetch_block, end);
+    u64 hi = std::min(block_start + fetch_block_, end);
     auto slice = std::make_shared<blob::SliceBlob>(a.data, lo - a.offset, hi - lo);
     cache::BlockId id{key, b};
-    bool full = lo == block_start && hi - lo == cfg_.fetch_block;
+    bool full = lo == block_start && hi - lo == fetch_block_;
     if (full) {
       Status st = block_cache_->insert(p, id, slice, /*dirty=*/true);
       if (!st.is_ok()) return rpc::make_error_reply(call, st);

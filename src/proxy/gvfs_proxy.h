@@ -33,9 +33,6 @@ namespace gvfs::proxy {
 
 struct ProxyConfig {
   std::string name = "gvfs-proxy";
-  // Upstream READ granularity: the proxy fetches whole cache blocks
-  // (<= the 32 KB NFS limit) regardless of the downstream rsize.
-  u32 fetch_block = 32_KiB;
   SimDuration attr_ttl = 5 * kSecond;
   bool enable_meta = true;  // honour meta-data files when found
 
@@ -84,7 +81,7 @@ class GvfsProxy final : public rpc::RpcHandler {
 
   // ---- attachments ---------------------------------------------------------
   // Client-side block cache; the proxy wires the cache's writeback to
-  // upstream WRITEs.
+  // upstream WRITEs and fetches in the cache's block size.
   void attach_block_cache(cache::ProxyDiskCache& c);
   // Meta-data file channel: whole-file cache + transfer engine.
   void attach_file_channel(meta::FileChannelClient& channel, cache::FileCache& fc);
@@ -309,7 +306,7 @@ class GvfsProxy final : public rpc::RpcHandler {
                                   const rpc::Credential& cred);
 
   // -- block cache internals -------------------------------------------------
-  // Read one proxy block (block index in fetch_block units) through the
+  // Read one proxy block (block index in fetch_block_ units) through the
   // cache, then the pending-write log, then the upstream; returns its data
   // (may be short at EOF).
   Result<blob::BlobRef> get_block_(sim::Process& p, const nfs::Fh& fh, u64 block,
@@ -418,6 +415,9 @@ class GvfsProxy final : public rpc::RpcHandler {
 
   ProxyConfig cfg_;
   rpc::RpcChannel& upstream_;
+  // Upstream READ granularity: the proxy fetches whole blocks of its cache
+  // (<= the 32 KB NFS limit) regardless of the downstream rsize.
+  u32 fetch_block_ = nfs::kMaxBlockSize;
   cache::ProxyDiskCache* block_cache_ = nullptr;
   meta::FileChannelClient* file_channel_ = nullptr;
   cache::FileCache* file_cache_ = nullptr;

@@ -259,58 +259,51 @@ u64 ShardRouter::combined_verf_(const std::vector<u32>& set,
   return combined;
 }
 
-rpc::RpcReply ShardRouter::call(sim::Process& p, const rpc::RpcCall& call) {
+void ShardRouter::send(sim::Process& p, std::span<const rpc::RpcCall> calls,
+                       std::span<rpc::RpcReply> replies) {
+  if (calls.empty()) return;
   maybe_probe_(p);
-  const nfs::Route route = route_of(call);
-  if (route == nfs::Route::kBroadcast) return broadcast_(p, call);
-  nfs::Fh fh = nfs::call_handle(call);
-  if (!fh.valid() || route == nfs::Route::kAnyOrigin) return any_origin_(p, call);
-  rpc::RpcReply reply;
-  if (route == nfs::Route::kReadOne) {
-    read_(p, {&call, 1}, {&reply, 1}, shard_of(fh));
-  } else {
-    write_(p, {&call, 1}, {&reply, 1}, shard_of(fh));
-  }
-  return reply;
-}
-
-std::vector<rpc::RpcReply> ShardRouter::call_pipelined(
-    sim::Process& p, const std::vector<rpc::RpcCall>& calls) {
-  if (calls.empty()) return {};
-  maybe_probe_(p);
-  // A burst of one procedure on one shard (the proxy's prefetch and flush
-  // paths are exactly these) keeps its pipelined shape; anything else is
-  // routed call by call.
-  const nfs::Route route = route_of(calls[0]);
-  const nfs::Fh fh0 = nfs::call_handle(calls[0]);
-  bool uniform = fh0.valid() &&
-                 (route == nfs::Route::kReadOne || route == nfs::Route::kQuorumWrite);
-  for (std::size_t i = 1; uniform && i < calls.size(); ++i) {
-    nfs::Fh f = nfs::call_handle(calls[i]);
-    uniform = is_proc(calls[i], static_cast<nfs::Proc>(calls[0].proc)) && f.valid() &&
-              shard_of(f) == shard_of(fh0);
-  }
-  std::vector<rpc::RpcReply> out(calls.size());
-  if (!uniform) {
-    for (std::size_t i = 0; i < calls.size(); ++i) out[i] = call(p, calls[i]);
-  } else if (route == nfs::Route::kReadOne) {
-    read_(p, calls, out, shard_of(fh0));
-  } else {
-    write_(p, calls, out, shard_of(fh0));
-  }
-  return out;
-}
-
-void ShardRouter::send_(sim::Process& p, u32 j, std::span<const rpc::RpcCall> calls,
-                        std::span<rpc::RpcReply> out) {
-  if (calls.size() == 1) {
-    out[0] = chans_[j]->call(p, calls[0]);
+  // A single call, or a burst of one read or write procedure on one shard
+  // (the proxy's prefetch and flush paths are exactly these), keeps its
+  // burst shape; anything else is routed call by call.
+  auto one_shard_op = [&] {
+    const nfs::Route route = route_of(calls[0]);
+    const nfs::Fh fh0 = nfs::call_handle(calls[0]);
+    if (!fh0.valid() ||
+        (route != nfs::Route::kReadOne && route != nfs::Route::kQuorumWrite)) {
+      return false;
+    }
+    const auto proc = static_cast<nfs::Proc>(calls[0].proc);
+    return std::all_of(calls.begin() + 1, calls.end(), [&](const rpc::RpcCall& c) {
+      const nfs::Fh f = nfs::call_handle(c);
+      return is_proc(c, proc) && f.valid() && shard_of(f) == shard_of(fh0);
+    });
+  };
+  if (calls.size() == 1 || one_shard_op()) {
+    route_(p, calls, replies);
     return;
   }
-  std::vector<rpc::RpcReply> replies =
-      chans_[j]->call_pipelined(p, std::vector<rpc::RpcCall>(calls.begin(), calls.end()));
-  assert(replies.size() == calls.size());
-  std::move(replies.begin(), replies.end(), out.begin());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    route_(p, calls.subspan(i, 1), replies.subspan(i, 1));
+  }
+}
+
+void ShardRouter::route_(sim::Process& p, std::span<const rpc::RpcCall> calls,
+                         std::span<rpc::RpcReply> out) {
+  const rpc::RpcCall& first = calls[0];
+  const nfs::Route route = route_of(first);
+  if (route == nfs::Route::kBroadcast) {
+    out[0] = broadcast_(p, first);
+    return;
+  }
+  const nfs::Fh fh = nfs::call_handle(first);
+  if (!fh.valid() || route == nfs::Route::kAnyOrigin) {
+    out[0] = any_origin_(p, first);
+  } else if (route == nfs::Route::kReadOne) {
+    read_(p, calls, out, shard_of(fh));
+  } else {
+    write_(p, calls, out, shard_of(fh));
+  }
 }
 
 void ShardRouter::read_(sim::Process& p, std::span<const rpc::RpcCall> calls,
@@ -323,7 +316,7 @@ void ShardRouter::read_(sim::Process& p, std::span<const rpc::RpcCall> calls,
     return;
   }
   const SimTime t0 = p.now();
-  send_(p, static_cast<u32>(j), calls, out);
+  chans_[j]->send(p, calls, out);
   std::vector<std::size_t> lost;  // stays unallocated while the replica lives
   for (std::size_t i = 0; i < calls.size(); ++i) {
     if (timed_out(out[i])) {
@@ -433,7 +426,7 @@ void ShardRouter::write_(sim::Process& p, std::span<const rpc::RpcCall> calls,
       for (const rpc::RpcCall& c : calls) journal_op_(j, c);
       continue;
     }
-    send_(p, j, calls, replies);
+    chans_[j]->send(p, calls, replies);
     bool died = false;
     for (std::size_t i = 0; i < calls.size(); ++i) {
       if (timed_out(replies[i])) {

@@ -27,9 +27,9 @@
 //   * NULL/FSSTAT/FSINFO/MOUNT (Route::kAnyOrigin) go to the lowest-indexed
 //     live origin.
 // One read path and one write path serve single calls and bursts alike: a
-// burst of one procedure on one shard (the proxy's prefetch READs and flush
-// WRITEs) travels to each replica pipelined, and a single call is a burst of
-// one, sent through the replica stack's call().
+// burst of one procedure on one shard (a single call, or the proxy's
+// prefetch READs and flush WRITEs) travels to each replica as one burst;
+// any other burst is routed call by call.
 //
 // Failover: a kTimeout reply from a replica's channel stack (RetryChannel
 // retransmission budget exhausted) marks it dead. Reads re-route to the next
@@ -92,9 +92,8 @@ class ShardRouter final : public rpc::RpcChannel {
   // stacks; all must outlive it.
   ShardRouter(std::vector<rpc::RpcChannel*> origins, ShardRouterConfig cfg = {});
 
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& call) override;
-  std::vector<rpc::RpcReply> call_pipelined(
-      sim::Process& p, const std::vector<rpc::RpcCall>& calls) override;
+  void send(sim::Process& p, std::span<const rpc::RpcCall> calls,
+            std::span<rpc::RpcReply> replies) override;
 
   // Probe every dead origin immediately (ignoring the probe back-off) and
   // replay its journal. Harnesses call this to force reintegration at a
@@ -162,6 +161,10 @@ class ShardRouter final : public rpc::RpcChannel {
   bool try_reintegrate_(sim::Process& p, u32 j);
   [[nodiscard]] u32 fresh_xid_() { return router_xid_++; }
 
+  // Routes `calls` by the first call's class: a broadcast or any-origin call
+  // alone, a read or write burst (one procedure on one shard) whole.
+  void route_(sim::Process& p, std::span<const rpc::RpcCall> calls,
+              std::span<rpc::RpcReply> out);
   // Route::kReadOne: `calls` (one shard) go to the shard's best live replica
   // as one burst; the ones a dying replica lost re-route to the next best.
   void read_(sim::Process& p, std::span<const rpc::RpcCall> calls,
@@ -171,11 +174,6 @@ class ShardRouter final : public rpc::RpcChannel {
   // first replica error, else a timeout.
   void write_(sim::Process& p, std::span<const rpc::RpcCall> calls,
               std::span<rpc::RpcReply> out, u32 shard);
-  // `calls` to origin j as one pipelined burst, replies into `out`. A burst
-  // of one goes through call(): for a batch of one, every channel's
-  // call_pipelined is equivalent to call.
-  void send_(sim::Process& p, u32 j, std::span<const rpc::RpcCall> calls,
-             std::span<rpc::RpcReply> out);
   rpc::RpcReply broadcast_(sim::Process& p, const rpc::RpcCall& call);
   rpc::RpcReply any_origin_(sim::Process& p, const rpc::RpcCall& call);
   // Replace a LOOKUP result's object attributes with fresh ones from the

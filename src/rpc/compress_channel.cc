@@ -50,22 +50,21 @@ void CompressChannel::unwrap_reply_(sim::Process& p, RpcReply& reply) {
   reply.result = cm->inner();
 }
 
-RpcReply CompressChannel::call(sim::Process& p, const RpcCall& call) {
-  RpcReply reply = next_.call(p, wrap_call_(p, call));
-  unwrap_reply_(p, reply);
-  return reply;
-}
-
-std::vector<RpcReply> CompressChannel::call_pipelined(
-    sim::Process& p, const std::vector<RpcCall>& calls) {
-  // Requests are compressed serially on this end's CPU before the batch
-  // ships; the round trips below still overlap.
-  std::vector<RpcCall> wrapped;
-  wrapped.reserve(calls.size());
-  for (const RpcCall& c : calls) wrapped.push_back(wrap_call_(p, c));
-  std::vector<RpcReply> replies = next_.call_pipelined(p, wrapped);
+void CompressChannel::send(sim::Process& p, std::span<const RpcCall> calls,
+                           std::span<RpcReply> replies) {
+  // Requests are compressed serially on this end's CPU before the burst
+  // ships; the round trips below still overlap. A single call's wrapped copy
+  // stays on the stack.
+  if (calls.size() == 1) {
+    const RpcCall wrapped = wrap_call_(p, calls[0]);
+    next_.send(p, {&wrapped, 1}, replies);
+  } else {
+    std::vector<RpcCall> wrapped;
+    wrapped.reserve(calls.size());
+    for (const RpcCall& c : calls) wrapped.push_back(wrap_call_(p, c));
+    next_.send(p, wrapped, replies);
+  }
   for (RpcReply& r : replies) unwrap_reply_(p, r);
-  return replies;
 }
 
 RpcReply CompressHandler::handle(sim::Process& p, const RpcCall& call) {

@@ -84,9 +84,8 @@ class CompressChannel final : public RpcChannel {
   CompressChannel(RpcChannel& next, CompressConfig cfg = {})
       : next_(next), cfg_(cfg) {}
 
-  RpcReply call(sim::Process& p, const RpcCall& call) override;
-  std::vector<RpcReply> call_pipelined(sim::Process& p,
-                                       const std::vector<RpcCall>& calls) override;
+  void send(sim::Process& p, std::span<const RpcCall> calls,
+            std::span<RpcReply> replies) override;
 
   [[nodiscard]] const CompressStats& stats() const { return stats_; }
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {

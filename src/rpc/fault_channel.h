@@ -29,9 +29,8 @@ class FaultyChannel final : public RpcChannel {
   FaultyChannel(RpcChannel& inner, sim::FaultInjector& faults, int server_id)
       : inner_(inner), faults_(faults), server_id_(server_id) {}
 
-  RpcReply call(sim::Process& p, const RpcCall& call) override;
-  std::vector<RpcReply> call_pipelined(sim::Process& p,
-                                       const std::vector<RpcCall>& calls) override;
+  void send(sim::Process& p, std::span<const RpcCall> calls,
+            std::span<RpcReply> replies) override;
 
   [[nodiscard]] sim::FaultInjector& injector() { return faults_; }
 

@@ -6,24 +6,16 @@ namespace gvfs::rpc {
 
 constexpr SimDuration kMaxTimeout = 60 * kSecond;  // RTO back-off ceiling
 
-RpcReply RetryChannel::call(sim::Process& p, const RpcCall& call) {
-  SimTime sent_at = p.now();
-  RpcReply reply = inner_.call(p, call);
-  return finish_(p, call, sent_at, std::move(reply));
-}
-
-std::vector<RpcReply> RetryChannel::call_pipelined(sim::Process& p,
-                                                   const std::vector<RpcCall>& calls) {
-  // The whole batch goes out at once; every entry shares the batch send time
+void RetryChannel::send(sim::Process& p, std::span<const RpcCall> calls,
+                        std::span<RpcReply> replies) {
+  // The whole burst goes out at once; every entry shares the burst send time
   // as the start of its first RTO. Timed-out entries are then retried
-  // serially through the same loop as single calls — the pipelined fast path
-  // is the common (fault-free) case.
-  SimTime batch_sent = p.now();
-  std::vector<RpcReply> replies = inner_.call_pipelined(p, calls);
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    replies[i] = finish_(p, calls[i], batch_sent, std::move(replies[i]));
+  // serially — the burst is the common (fault-free) case.
+  const SimTime sent_at = p.now();
+  inner_.send(p, calls, replies);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    replies[i] = finish_(p, calls[i], sent_at, std::move(replies[i]));
   }
-  return replies;
 }
 
 RpcReply RetryChannel::finish_(sim::Process& p, const RpcCall& call,

@@ -12,9 +12,9 @@
 //
 // Reply xids are verified against the issued call before acceptance.
 //
-// Both call() and call_pipelined() funnel into one retry loop (finish_), so
-// RTO budget, backoff, and the timeout/retransmit counters are maintained in
-// exactly one place regardless of how the first transmission went out.
+// Every entry of a burst funnels into one retry loop (finish_), so RTO
+// budget, backoff, and the timeout/retransmit counters are maintained in
+// exactly one place; each retransmission is a burst of one.
 #pragma once
 
 #include "common/metrics.h"
@@ -36,9 +36,8 @@ class RetryChannel final : public RpcChannel {
   RetryChannel(RpcChannel& inner, sim::SimKernel& kernel, RetryConfig cfg = {})
       : inner_(inner), kernel_(kernel), cfg_(cfg) {}
 
-  RpcReply call(sim::Process& p, const RpcCall& call) override;
-  std::vector<RpcReply> call_pipelined(sim::Process& p,
-                                       const std::vector<RpcCall>& calls) override;
+  void send(sim::Process& p, std::span<const RpcCall> calls,
+            std::span<RpcReply> replies) override;
 
   [[nodiscard]] const RetryConfig& config() const { return cfg_; }
 
@@ -61,8 +60,8 @@ class RetryChannel final : public RpcChannel {
 
  private:
   // Shared retry loop: takes the first transmission's send time and reply
-  // (already obtained by call()/call_pipelined()) and owns every subsequent
-  // timeout wait, reissue, and counter from there.
+  // (already obtained by send()) and owns every subsequent timeout wait,
+  // reissue, and counter from there.
   RpcReply finish_(sim::Process& p, const RpcCall& call, SimTime sent_at,
                    RpcReply reply);
 

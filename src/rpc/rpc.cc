@@ -86,19 +86,8 @@ u64 RpcReply::wire_size() const {
 
 // ------------------------------------------------------------- LinkChannel --
 
-RpcReply LinkChannel::call(sim::Process& p, const RpcCall& call) {
-  calls_.inc();
-  if (per_call_cpu_ > 0) p.delay(per_call_cpu_);
-  if (to_server_ != nullptr) to_server_->transmit(p, call.wire_size());
-  RpcReply reply = handler_.handle(p, call);
-  if (to_client_ != nullptr) to_client_->transmit(p, reply.wire_size());
-  return reply;
-}
-
-std::vector<RpcReply> LinkChannel::call_pipelined(sim::Process& p,
-                                                  const std::vector<RpcCall>& calls) {
-  std::vector<RpcReply> replies;
-  replies.reserve(calls.size());
+void LinkChannel::send(sim::Process& p, std::span<const RpcCall> calls,
+                       std::span<RpcReply> replies) {
   for (std::size_t i = 0; i < calls.size(); ++i) {
     calls_.inc();
     if (per_call_cpu_ > 0) p.delay(per_call_cpu_);
@@ -107,14 +96,12 @@ std::vector<RpcReply> LinkChannel::call_pipelined(sim::Process& p,
     if (to_server_ != nullptr) {
       to_server_->transmit_ex(p, calls[i].wire_size(), i == 0);
     }
-    RpcReply reply = handler_.handle(p, calls[i]);
+    replies[i] = handler_.handle(p, calls[i]);
     // Replies likewise overlap; the last one pays the return propagation.
     if (to_client_ != nullptr) {
-      to_client_->transmit_ex(p, reply.wire_size(), i + 1 == calls.size());
+      to_client_->transmit_ex(p, replies[i].wire_size(), i + 1 == calls.size());
     }
-    replies.push_back(std::move(reply));
   }
-  return replies;
 }
 
 RpcReply make_reply(const RpcCall& call, MessagePtr result) {

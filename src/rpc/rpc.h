@@ -5,12 +5,13 @@
 // XDR field list (xdr/xdr.h); wire_size(), encode() and decode() all walk
 // that list. The simulation transport charges link time from wire_size()
 // and never encodes; tests encode to check the two agree.
-// Channels are synchronous — RpcChannel::call blocks the calling simulation
-// process for exactly the time the request and reply spend on the network
+// Channels are synchronous — RpcChannel::send blocks the calling simulation
+// process for exactly the time the requests and replies spend on the network
 // and in the servers, which is how the paper's NFS-over-WAN latencies arise.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,19 +125,31 @@ struct RpcReply {
 // Synchronous RPC transport abstraction. Implementations compose: an SSH
 // tunnel wraps a link channel wraps a server, a proxy is itself a handler
 // that owns an upstream channel.
+//
+// A channel implements one thing, a burst: several calls sent with their
+// round trips overlapped (client-side read-ahead, write clustering), so
+// link-crossing channels charge propagation once per burst. A single call is
+// a burst of one.
 class RpcChannel {
  public:
   virtual ~RpcChannel() = default;
-  virtual RpcReply call(sim::Process& p, const RpcCall& call) = 0;
 
-  // Issue several calls with their round trips overlapped (client-side
-  // read-ahead / write clustering). The default degrades to serial calls;
-  // link-crossing channels charge propagation latency once per batch.
-  virtual std::vector<RpcReply> call_pipelined(sim::Process& p,
-                                               const std::vector<RpcCall>& calls) {
-    std::vector<RpcReply> replies;
-    replies.reserve(calls.size());
-    for (const RpcCall& c : calls) replies.push_back(call(p, c));
+  // Send `calls` as one burst; call i's reply lands in replies[i]
+  // (`replies.size() == calls.size()`).
+  virtual void send(sim::Process& p, std::span<const RpcCall> calls,
+                    std::span<RpcReply> replies) = 0;
+
+  // A burst of one, its call and reply on the caller's stack.
+  RpcReply call(sim::Process& p, const RpcCall& c) {
+    RpcReply reply;
+    send(p, {&c, 1}, {&reply, 1});
+    return reply;
+  }
+  // A burst into a fresh reply vector.
+  std::vector<RpcReply> call_pipelined(sim::Process& p,
+                                       const std::vector<RpcCall>& calls) {
+    std::vector<RpcReply> replies(calls.size());
+    send(p, calls, replies);
     return replies;
   }
 };
@@ -161,9 +174,8 @@ class LinkChannel final : public RpcChannel {
         to_client_(to_client),
         per_call_cpu_(per_call_cpu) {}
 
-  RpcReply call(sim::Process& p, const RpcCall& call) override;
-  std::vector<RpcReply> call_pipelined(sim::Process& p,
-                                       const std::vector<RpcCall>& calls) override;
+  void send(sim::Process& p, std::span<const RpcCall> calls,
+            std::span<RpcReply> replies) override;
 
   [[nodiscard]] u64 calls() const { return calls_.value(); }
 

@@ -40,13 +40,6 @@ bool FaultInjector::drop_reply(SimTime t) {
   return false;
 }
 
-SimDuration FaultInjector::sample_spike(SimTime) {
-  if (cfg_.spike_rate <= 0.0 || cfg_.spike <= 0) return 0;
-  if (kernel_.rng().next_double() >= cfg_.spike_rate) return 0;
-  spikes_injected_.inc();
-  return cfg_.spike;
-}
-
 void FaultInjector::fire_restarts_due(SimTime t, int server_id) {
   auto cb = on_restart_.find(server_id);
   if (cb == on_restart_.end() || !cb->second) return;

@@ -1,17 +1,14 @@
 // Deterministic WAN fault injection (§3.1's wide-area premise, exercised).
 //
 // A FaultInjector owns a schedule of failures for one network path: random
-// per-message drops, latency spikes, partition windows (total communication
-// blackout) and server crash/restart windows. All randomness comes from the
-// simulation kernel's seeded SplitMix64 — draws happen in the kernel's
-// deterministic process-execution order, so identical seeds give identical
-// fault schedules and identical simulated timelines. No wall-clock anywhere.
+// per-message drops, partition windows (total communication blackout) and
+// server crash/restart windows. All randomness comes from the simulation
+// kernel's seeded SplitMix64 — draws happen in the kernel's deterministic
+// process-execution order, so identical seeds give identical fault schedules
+// and identical simulated timelines. No wall-clock anywhere.
 //
-// Hook points:
-//   * rpc::FaultyChannel consults drop_request()/drop_reply()/server_down()
-//     around each RPC (rpc/fault_channel.h);
-//   * sim::Link::set_fault_injector() adds sampled latency spikes to
-//     individual message transmissions.
+// Hook point: rpc::FaultyChannel consults drop_request()/drop_reply()/
+// server_down() around each RPC (rpc/fault_channel.h).
 #pragma once
 
 #include <functional>
@@ -46,10 +43,6 @@ struct FaultConfig {
   // Independent per-message loss probability (requests and replies each
   // flip a coin, as on a real lossy path).
   double drop_rate = 0.0;
-  // Probability that a message transmission picks up an extra latency spike
-  // (bufferbloat / route flap), and the spike magnitude.
-  double spike_rate = 0.0;
-  SimDuration spike = 200 * kMillisecond;
   // Network partitions: every message in a window is lost (both directions).
   std::vector<FaultWindow> partitions;
   // Server crash windows: requests are lost and the server executes nothing;
@@ -77,7 +70,7 @@ class FaultInjector {
     on_restart_[server_id] = std::move(fn);
   }
 
-  // ---- decision points (called by FaultyChannel / Link) --------------------
+  // ---- decision points (called by FaultyChannel) ---------------------------
   // Should the request at virtual time `t` be lost before reaching server
   // `server_id`? True during crashes and partitions, or on a loss coin flip.
   bool drop_request(SimTime t, int server_id);
@@ -85,8 +78,6 @@ class FaultInjector {
   // did execute the request — this is what the duplicate-request cache is
   // for.)
   bool drop_reply(SimTime t);
-  // Extra one-way latency for a message sent at `t` (0 when not spiked).
-  SimDuration sample_spike(SimTime t);
 
   // Fire pending restart callbacks for crash windows scoped to `server_id`
   // (or to all servers) that ended at or before `t`. FaultyChannel calls
@@ -100,13 +91,11 @@ class FaultInjector {
   // ---- counters ------------------------------------------------------------
   [[nodiscard]] u64 requests_dropped() const { return requests_dropped_.value(); }
   [[nodiscard]] u64 replies_dropped() const { return replies_dropped_.value(); }
-  [[nodiscard]] u64 spikes_injected() const { return spikes_injected_.value(); }
   [[nodiscard]] u64 restarts_fired() const { return restarts_fired_.value(); }
 
   void register_metrics(metrics::Registry& r, const std::string& prefix) const {
     r.register_counter(prefix + "requests_dropped", &requests_dropped_);
     r.register_counter(prefix + "replies_dropped", &replies_dropped_);
-    r.register_counter(prefix + "spikes_injected", &spikes_injected_);
     r.register_counter(prefix + "restarts_fired", &restarts_fired_);
   }
 
@@ -120,7 +109,6 @@ class FaultInjector {
   std::map<int, std::size_t> restarts_fired_upto_;
   metrics::Counter requests_dropped_;
   metrics::Counter replies_dropped_;
-  metrics::Counter spikes_injected_;
   metrics::Counter restarts_fired_;
 };
 

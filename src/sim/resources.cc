@@ -2,17 +2,11 @@
 
 #include <algorithm>
 
-#include "sim/faults.h"
-
 namespace gvfs::sim {
 
 void Link::transmit_ex(Process& p, u64 bytes, bool propagate) {
   messages_.inc();
   bytes_sent_.inc(bytes);
-  if (faults_ != nullptr) {
-    SimDuration spike = faults_->sample_spike(p.now());
-    if (spike > 0) p.delay(spike);
-  }
   if (cfg_.per_message_overhead > 0) p.delay(cfg_.per_message_overhead);
   u64 remaining = bytes;
   // Zero-byte messages (pure control) still cross the propagation delay.

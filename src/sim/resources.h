@@ -14,8 +14,6 @@
 
 namespace gvfs::sim {
 
-class FaultInjector;
-
 // A point-to-point network link: fixed one-way propagation latency plus a
 // bandwidth pipe shared by all concurrent senders. Serialization is modeled
 // as chunked FIFO reservation: each message is split into `chunk_bytes`
@@ -43,10 +41,6 @@ class Link {
   // pipelined RPC batches where in-flight messages overlap the RTT.
   void transmit_ex(Process& p, u64 bytes, bool propagate);
 
-  // Attach a fault injector: each transmitted message may pick up a sampled
-  // latency spike (faults.h). Null (the default) costs nothing.
-  void set_fault_injector(FaultInjector* f) { faults_ = f; }
-
   [[nodiscard]] const LinkConfig& config() const { return cfg_; }
   [[nodiscard]] u64 bytes_sent() const { return bytes_sent_.value(); }
   [[nodiscard]] u64 messages() const { return messages_.value(); }
@@ -61,7 +55,6 @@ class Link {
   SimKernel& kernel_;
   std::string name_;
   LinkConfig cfg_;
-  FaultInjector* faults_ = nullptr;
   SimTime pipe_free_ = 0;  // next time the serialization pipe is idle
   metrics::Counter bytes_sent_;
   metrics::Counter messages_;

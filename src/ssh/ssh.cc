@@ -14,7 +14,7 @@ void SshTunnel::establish(sim::Process& p) {
   established_ = true;
 }
 
-void SshTunnel::send_(sim::Process& p, sim::Link* link, u64 bytes, bool propagate) {
+void SshTunnel::carry_(sim::Process& p, sim::Link* link, u64 bytes, bool propagate) {
   u64 framed = bytes + spec_.frame_overhead;
   bytes_.inc(framed);
   // Flow pacing (cipher + TCP window ceiling) applied as extra serial time,
@@ -33,28 +33,17 @@ void SshTunnel::send_(sim::Process& p, sim::Link* link, u64 bytes, bool propagat
   if (propagate && link->config().latency > 0) p.delay(link->config().latency);
 }
 
-rpc::RpcReply SshTunnel::call(sim::Process& p, const rpc::RpcCall& call) {
+void SshTunnel::send(sim::Process& p, std::span<const rpc::RpcCall> calls,
+                     std::span<rpc::RpcReply> replies) {
   establish(p);
-  messages_.inc();
-  send_(p, to_server_, call.wire_size(), true);
-  rpc::RpcReply reply = upstream_.handle(p, call);
-  send_(p, to_client_, reply.wire_size(), true);
-  return reply;
-}
-
-std::vector<rpc::RpcReply> SshTunnel::call_pipelined(
-    sim::Process& p, const std::vector<rpc::RpcCall>& calls) {
-  establish(p);
-  std::vector<rpc::RpcReply> replies;
-  replies.reserve(calls.size());
+  // As on a LinkChannel, only the first request and the last reply pay
+  // propagation.
   for (std::size_t i = 0; i < calls.size(); ++i) {
     messages_.inc();
-    send_(p, to_server_, calls[i].wire_size(), i == 0);
-    rpc::RpcReply reply = upstream_.handle(p, calls[i]);
-    send_(p, to_client_, reply.wire_size(), i + 1 == calls.size());
-    replies.push_back(std::move(reply));
+    carry_(p, to_server_, calls[i].wire_size(), i == 0);
+    replies[i] = upstream_.handle(p, calls[i]);
+    carry_(p, to_client_, replies[i].wire_size(), i + 1 == calls.size());
   }
-  return replies;
 }
 
 void Scp::transfer(sim::Process& p, u64 bytes, bool include_setup) {

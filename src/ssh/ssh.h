@@ -37,9 +37,8 @@ class SshTunnel final : public rpc::RpcChannel {
   SshTunnel(rpc::RpcHandler& upstream, sim::Link* to_server, sim::Link* to_client,
             CipherSpec spec = {});
 
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& call) override;
-  std::vector<rpc::RpcReply> call_pipelined(
-      sim::Process& p, const std::vector<rpc::RpcCall>& calls) override;
+  void send(sim::Process& p, std::span<const rpc::RpcCall> calls,
+            std::span<rpc::RpcReply> replies) override;
 
   // Pre-establish (middleware starts tunnels at session setup).
   void establish(sim::Process& p);
@@ -53,7 +52,8 @@ class SshTunnel final : public rpc::RpcChannel {
   }
 
  private:
-  void send_(sim::Process& p, sim::Link* link, u64 bytes, bool propagate);
+  // One message's framed bytes across `link`, paced by the cipher.
+  void carry_(sim::Process& p, sim::Link* link, u64 bytes, bool propagate);
 
   rpc::RpcHandler& upstream_;
   sim::Link* to_server_;

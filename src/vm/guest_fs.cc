@@ -11,15 +11,17 @@ constexpr u64 kAlign = 4_KiB;
 u64 align_up(u64 v) { return (v + kAlign - 1) & ~(kAlign - 1); }
 
 u64 gcd_(u64 a, u64 b) { return b == 0 ? a : gcd_(b, a % b); }
+
+constexpr u64 kFragExtent = 8_KiB;  // extent size for fragmented files
 }  // namespace
 
-GuestFs::GuestFs(VmMonitor& vm, GuestFsConfig cfg) : vm_(vm), cfg_(cfg) {
+GuestFs::GuestFs(VmMonitor& vm, u64 data_base, u64 data_limit) : vm_(vm) {
   // Split the data region: lower half for contiguous allocations, upper half
   // for the fragment slot area.
-  u64 span = cfg_.data_limit - cfg_.data_base;
-  contig_next_ = cfg_.data_base;
-  frag_base_ = cfg_.data_base + span / 2;
-  frag_slots_ = std::max<u64>(1, (cfg_.data_limit - frag_base_) / cfg_.frag_extent);
+  u64 span = data_limit - data_base;
+  contig_next_ = data_base;
+  frag_base_ = data_base + span / 2;
+  frag_slots_ = std::max<u64>(1, (data_limit - frag_base_) / kFragExtent);
   // A fixed odd stride, bumped until coprime with the slot count, makes
   // slot_offset_ a bijection that scatters consecutive slots.
   stride_ = 2654435761u % frag_slots_;
@@ -29,7 +31,7 @@ GuestFs::GuestFs(VmMonitor& vm, GuestFsConfig cfg) : vm_(vm), cfg_(cfg) {
 
 u64 GuestFs::slot_offset_(u64 slot_index) const {
   u64 slot = (slot_index * stride_) % frag_slots_;
-  return frag_base_ + slot * cfg_.frag_extent;
+  return frag_base_ + slot * kFragExtent;
 }
 
 Status GuestFs::add_file(const std::string& name, u64 initial_size, u64 reserve,
@@ -39,7 +41,7 @@ Status GuestFs::add_file(const std::string& name, u64 initial_size, u64 reserve,
   f.size = initial_size;
   f.fragmented = fragmented;
   if (fragmented) {
-    u64 extents = (std::max<u64>(initial_size, 1) + cfg_.frag_extent - 1) / cfg_.frag_extent;
+    u64 extents = (std::max<u64>(initial_size, 1) + kFragExtent - 1) / kFragExtent;
     if (frag_next_slot_ + extents > frag_slots_) {
       return err(ErrCode::kNoSpc, "fragment area full");
     }
@@ -64,7 +66,7 @@ u64 GuestFs::size(const std::string& name) const {
 }
 
 Status GuestFs::ensure_extents_(GFile& f, u64 needed_bytes) {
-  u64 needed = (needed_bytes + cfg_.frag_extent - 1) / cfg_.frag_extent;
+  u64 needed = (needed_bytes + kFragExtent - 1) / kFragExtent;
   if (needed <= f.extents) return Status::ok();
   // Growth must continue the file's slot sequence; that only works for the
   // most recently allocated file. Otherwise allocate a fresh run and migrate
@@ -94,9 +96,9 @@ Result<blob::BlobRef> GuestFs::frag_read_(sim::Process& p, const GFile& f, u64 o
   u64 pos = 0;
   while (pos < len) {
     u64 abs = offset + pos;
-    u64 ext = abs / cfg_.frag_extent;
-    u64 within = abs % cfg_.frag_extent;
-    u64 n = std::min<u64>(cfg_.frag_extent - within, len - pos);
+    u64 ext = abs / kFragExtent;
+    u64 within = abs % kFragExtent;
+    u64 n = std::min<u64>(kFragExtent - within, len - pos);
     GVFS_ASSIGN_OR_RETURN(
         blob::BlobRef piece,
         vm_.disk_read(p, slot_offset_(f.first_slot + ext) + within, n));
@@ -114,9 +116,9 @@ Status GuestFs::frag_write_(sim::Process& p, GFile& f, u64 offset,
   u64 pos = 0;
   while (pos < len) {
     u64 abs = offset + pos;
-    u64 ext = abs / cfg_.frag_extent;
-    u64 within = abs % cfg_.frag_extent;
-    u64 n = std::min<u64>(cfg_.frag_extent - within, len - pos);
+    u64 ext = abs / kFragExtent;
+    u64 within = abs % kFragExtent;
+    u64 n = std::min<u64>(kFragExtent - within, len - pos);
     auto slice = std::make_shared<blob::SliceBlob>(data, pos, n);
     GVFS_RETURN_IF_ERROR(
         vm_.disk_write(p, slot_offset_(f.first_slot + ext) + within, slice));

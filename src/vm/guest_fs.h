@@ -21,17 +21,11 @@
 
 namespace gvfs::vm {
 
-struct GuestFsConfig {
-  u64 data_base = 256_MiB;
-  u64 data_limit = u64{1400} * 1_MiB;
-  u64 frag_extent = 8_KiB;  // extent size for fragmented files
-};
-
 class GuestFs {
  public:
-  explicit GuestFs(VmMonitor& vm, GuestFsConfig cfg = {});
-  GuestFs(VmMonitor& vm, u64 data_base, u64 data_limit)
-      : GuestFs(vm, GuestFsConfig{data_base, data_limit, 8_KiB}) {}
+  // File data is allocated in the virtual disk region [data_base, data_limit).
+  explicit GuestFs(VmMonitor& vm, u64 data_base = 256_MiB,
+                   u64 data_limit = u64{1400} * 1_MiB);
 
   // Declare a file. `initial_size` bytes are considered already on disk
   // (part of the installed image); `reserve` caps contiguous growth
@@ -86,7 +80,6 @@ class GuestFs {
   Status ensure_extents_(GFile& f, u64 needed_bytes);
 
   VmMonitor& vm_;
-  GuestFsConfig cfg_;
   std::unordered_map<std::string, GFile> files_;
   u64 contig_next_;   // bump pointer for contiguous files (low half)
   u64 frag_slots_;    // number of fragment slots (high half)

@@ -4,6 +4,15 @@
 
 namespace gvfs::vm {
 
+namespace {
+
+constexpr u64 kCopyChunk = 64_KiB;  // memory-state copy granularity
+// Customizing the clone (hostname, user accounts, network) — scripted edits
+// the middleware applies before resume.
+constexpr SimDuration kConfigureTime = 2 * kSecond;
+
+}  // namespace
+
 Result<CloneResult> VmCloner::clone(sim::Process& p, vfs::FsSession& image_fs,
                                     vfs::FsSession& local_fs, const CloneConfig& cfg) {
   CloneResult out;
@@ -25,7 +34,7 @@ Result<CloneResult> VmCloner::clone(sim::Process& p, vfs::FsSession& image_fs,
   GVFS_RETURN_IF_ERROR(local_fs.put(p, out.clone_paths.vmss(), blob::make_zero(0)));
   u64 off = 0;
   while (off < vmss.size) {
-    u64 n = std::min<u64>(cfg.copy_chunk, vmss.size - off);
+    u64 n = std::min<u64>(kCopyChunk, vmss.size - off);
     GVFS_ASSIGN_OR_RETURN(blob::BlobRef chunk,
                           image_fs.read(p, cfg.image.vmss(), off, n));
     if (chunk->size() == 0) break;
@@ -45,7 +54,7 @@ Result<CloneResult> VmCloner::clone(sim::Process& p, vfs::FsSession& image_fs,
   out.timing.links_s = to_seconds(t3 - t2);
 
   // 4. Configure the clone with user-specific information.
-  p.delay(cfg.configure_time);
+  p.delay(kConfigureTime);
   std::string patch = "uuid.bios = \"clone\"\ndisplayName = \"" + name + "\"\n";
   std::vector<u8> patch_raw(patch.begin(), patch.end());
   GVFS_ASSIGN_OR_RETURN(vfs::Attr cfg_attr, local_fs.stat(p, out.clone_paths.cfg()));
@@ -57,7 +66,7 @@ Result<CloneResult> VmCloner::clone(sim::Process& p, vfs::FsSession& image_fs,
 
   // 5. Resume: memory state from the local copy, virtual disk through the
   //    symlink back to the image mount, writes into a local redo log.
-  out.vm = std::make_unique<VmMonitor>(cfg.vmm);
+  out.vm = std::make_unique<VmMonitor>();
   out.vm->attach(local_fs, out.clone_paths.cfg(), out.clone_paths.vmss(), image_fs,
                  cfg.image.flat_vmdk());
   if (cfg.use_redo_log) {

@@ -19,12 +19,7 @@ struct CloneConfig {
   VmImagePaths image;          // paths on the image mount
   std::string clone_dir;       // destination on the compute server
   std::string clone_name;      // name of the clone (defaults to image name)
-  u64 copy_chunk = 64_KiB;
-  // Customizing the clone (hostname, user accounts, network) — scripted
-  // edits the middleware applies before resume.
-  SimDuration configure_time = 2 * kSecond;
   bool use_redo_log = true;    // non-persistent clone
-  VmmConfig vmm;
 };
 
 struct CloneTiming {

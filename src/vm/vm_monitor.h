@@ -20,19 +20,9 @@
 
 namespace gvfs::vm {
 
-struct VmmConfig {
-  u64 io_chunk = 64_KiB;              // VMM state-file read/write granularity
-  double mem_load_bps = 150.0 * 1_MiB;  // CPU to rebuild the memory image
-  double mem_save_bps = 150.0 * 1_MiB;
-  SimDuration device_init = 1500 * kMillisecond;  // device state restore
-  u64 guest_cache_bytes = 96_MiB;     // guest page cache share
-  u32 guest_page = 4_KiB;
-  SimDuration guest_io_cpu = 15 * kMicrosecond;  // virtualized I/O exit cost
-};
-
 class VmMonitor {
  public:
-  explicit VmMonitor(VmmConfig cfg = {});
+  VmMonitor();
 
   // Wire the state files. `state_fs` holds .cfg/.vmss; `disk_fs` holds the
   // flat virtual disk (often a different mount for clones).
@@ -77,7 +67,6 @@ class VmMonitor {
   // Guest-cache writeback: dirty page goes to redo log or the virtual disk.
   void writeback_page_(sim::Process& p, u64 page, const blob::BlobRef& data);
 
-  VmmConfig cfg_;
   vfs::FsSession* state_fs_ = nullptr;
   vfs::FsSession* disk_fs_ = nullptr;
   std::string cfg_path_;

@@ -13,6 +13,7 @@
 #include "proxy/shard_router.h"
 #include "rpc/rpc.h"
 #include "sim/kernel.h"
+#include "stub_channel.h"
 
 namespace gvfs::core {
 namespace {
@@ -296,9 +297,9 @@ TEST(ClusterRouting, WritesLandOnlyOnHomeShardReplicas) {
 
 // An origin channel that rejects every WRITE with an authentication error
 // and answers anything else (NULL probes) with an empty reply.
-class RejectingOrigin final : public rpc::RpcChannel {
+class RejectingOrigin final : public tests::PerCallChannel {
  public:
-  rpc::RpcReply call(sim::Process&, const rpc::RpcCall& call) override {
+  rpc::RpcReply on_call(sim::Process&, const rpc::RpcCall& call) override {
     if (call.prog == rpc::kNfsProgram &&
         static_cast<nfs::Proc>(call.proc) == nfs::Proc::kWrite) {
       return rpc::make_error_reply(call, err(ErrCode::kAuthError, "rejected"));
@@ -641,12 +642,12 @@ TEST(ClusterFailover, DrcSurvivesSeamRetainsCacheAcrossReboot) {
 // then the reply is delayed by a data-size-proportional service time — the
 // window in which a second writer's RPC can land. While `alive` is false every
 // call answers kTimeout, which is what the router's failure detector keys on.
-class ApplyOrderOrigin final : public rpc::RpcChannel {
+class ApplyOrderOrigin final : public tests::PerCallChannel {
  public:
   bool alive = true;
   std::vector<u64> applied;  // WRITE offsets in request-arrival order
 
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& call) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& call) override {
     if (!alive) return rpc::make_error_reply(call, err(ErrCode::kTimeout, "origin down"));
     if (call.prog == rpc::kNfsProgram &&
         static_cast<nfs::Proc>(call.proc) == nfs::Proc::kWrite) {

@@ -5,7 +5,9 @@
 // the proxy's degraded mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "blob/blob.h"
@@ -16,6 +18,7 @@
 #include "rpc/retry_channel.h"
 #include "sim/faults.h"
 #include "sim/kernel.h"
+#include "stub_channel.h"
 
 namespace gvfs {
 namespace {
@@ -27,9 +30,9 @@ using core::TestbedOptions;
 // ---- stub channels ----------------------------------------------------------
 
 // Always succeeds, echoing the call's args back as the result.
-struct EchoChannel final : rpc::RpcChannel {
+struct EchoChannel final : tests::PerCallChannel {
   u64 executed = 0;
-  rpc::RpcReply call(sim::Process&, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process&, const rpc::RpcCall& c) override {
     ++executed;
     return rpc::make_reply(c, c.args);
   }
@@ -37,11 +40,11 @@ struct EchoChannel final : rpc::RpcChannel {
 
 // Times out the first `fail_first` calls, then succeeds. Records the xid of
 // every attempt so tests can pin down retransmission identity.
-struct FlakyChannel final : rpc::RpcChannel {
+struct FlakyChannel final : tests::PerCallChannel {
   explicit FlakyChannel(int n) : fail_first(n) {}
   int fail_first;
   std::vector<u32> xids_seen;
-  rpc::RpcReply call(sim::Process&, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process&, const rpc::RpcCall& c) override {
     xids_seen.push_back(c.xid);
     if (static_cast<int>(xids_seen.size()) <= fail_first) {
       return rpc::make_error_reply(c, err(ErrCode::kTimeout, "synthetic loss"));
@@ -50,40 +53,35 @@ struct FlakyChannel final : rpc::RpcChannel {
   }
 };
 
-// Pipelined stub: times out every entry of the first `fail_batches` whole
-// batches; single-call reissues (the retry path) always succeed. Records
-// every xid transmitted either way.
+// Burst stub: times out every entry of the first `fail_batches` bursts of
+// several calls (batches); a burst of one (the retry path's reissue) always
+// succeeds. Records every xid transmitted either way.
 struct BatchFlakyChannel final : rpc::RpcChannel {
   explicit BatchFlakyChannel(int n) : fail_batches(n) {}
   int fail_batches;
   u64 single_calls = 0;
   std::vector<u32> xids_seen;
-  rpc::RpcReply call(sim::Process&, const rpc::RpcCall& c) override {
-    ++single_calls;
-    xids_seen.push_back(c.xid);
-    return rpc::make_reply(c, c.args);
-  }
-  std::vector<rpc::RpcReply> call_pipelined(
-      sim::Process&, const std::vector<rpc::RpcCall>& calls) override {
-    std::vector<rpc::RpcReply> out;
-    for (const auto& c : calls) {
-      xids_seen.push_back(c.xid);
-      out.push_back(fail_batches > 0
-                        ? rpc::make_error_reply(c, err(ErrCode::kTimeout, "loss"))
-                        : rpc::make_reply(c, c.args));
+  void send(sim::Process&, std::span<const rpc::RpcCall> calls,
+            std::span<rpc::RpcReply> replies) override {
+    const bool batch = calls.size() > 1;
+    if (!batch) ++single_calls;
+    const bool fail = batch && fail_batches > 0;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      xids_seen.push_back(calls[i].xid);
+      replies[i] = fail ? rpc::make_error_reply(calls[i], err(ErrCode::kTimeout, "loss"))
+                        : rpc::make_reply(calls[i], calls[i].args);
     }
-    if (fail_batches > 0) --fail_batches;
-    return out;
+    if (fail) --fail_batches;
   }
 };
 
 // Passes calls through but corrupts the xid of successful replies while
 // `corrupt` is set (a misbehaving server / crossed wires).
-struct WrongXidChannel final : rpc::RpcChannel {
+struct WrongXidChannel final : tests::PerCallChannel {
   explicit WrongXidChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   bool corrupt = true;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     rpc::RpcReply r = inner.call(p, c);
     if (corrupt && r.status.is_ok()) r.xid ^= 0x5a5a5a5a;
     return r;
@@ -228,6 +226,68 @@ TEST(FaultyChannel, DropAccountingMatchesServerExecution) {
   EXPECT_EQ(timeouts, inj.requests_dropped() + inj.replies_dropped());
   // Only request-dropped calls never reached the server.
   EXPECT_EQ(echo.executed, static_cast<u64>(kCalls) - inj.requests_dropped());
+}
+
+// Echoes every call and records each burst it receives (its xids, in order).
+struct BurstRecordingChannel final : rpc::RpcChannel {
+  std::vector<std::vector<u32>> bursts;
+  void send(sim::Process&, std::span<const rpc::RpcCall> calls,
+            std::span<rpc::RpcReply> replies) override {
+    std::vector<u32>& xids = bursts.emplace_back();
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      xids.push_back(calls[i].xid);
+      replies[i] = rpc::make_reply(calls[i], calls[i].args);
+    }
+  }
+};
+
+TEST(FaultyChannel, BurstForwardsItsSurvivorsAsOneBurst) {
+  // A burst loses requests one by one, yet whatever survives still reaches
+  // the server as one burst, in call order, and the lost ones never run.
+  sim::SimKernel k;
+  k.seed_rng(42);
+  sim::FaultConfig cfg;
+  cfg.drop_rate = 0.4;
+  sim::FaultInjector inj(k, cfg);
+  BurstRecordingChannel rec;
+  rpc::FaultyChannel chan(rec, inj, 0);
+  constexpr u32 kBursts = 40;
+  constexpr u32 kBurst = 8;
+  u64 timeouts = 0;
+  u64 partial = 0;  // bursts that lost some requests but not all
+  k.run_process("t", [&](sim::Process& p) {
+    for (u32 b = 0; b < kBursts; ++b) {
+      std::vector<rpc::RpcCall> calls;
+      for (u32 i = 0; i < kBurst; ++i) calls.push_back(make_call(b * kBurst + i + 1));
+      const std::size_t bursts_before = rec.bursts.size();
+      const u64 lost_before = inj.requests_dropped();
+      std::vector<rpc::RpcReply> replies = chan.call_pipelined(p, calls);
+      const u64 lost = inj.requests_dropped() - lost_before;
+      // At most one burst reached the server: none when every request was lost.
+      ASSERT_EQ(rec.bursts.size() - bursts_before, lost == kBurst ? 0u : 1u);
+      const std::vector<u32> executed =
+          lost == kBurst ? std::vector<u32>{} : rec.bursts.back();
+      if (lost > 0 && lost < kBurst) ++partial;
+      // The survivors, in call order; a lost request never executed.
+      EXPECT_EQ(executed.size(), kBurst - lost);
+      EXPECT_TRUE(std::is_sorted(executed.begin(), executed.end()));
+      ASSERT_EQ(replies.size(), calls.size());
+      for (u32 i = 0; i < kBurst; ++i) {
+        EXPECT_EQ(replies[i].xid, calls[i].xid);
+        const bool ran =
+            std::find(executed.begin(), executed.end(), calls[i].xid) != executed.end();
+        const bool timed_out = replies[i].status.code() == ErrCode::kTimeout;
+        if (timed_out) ++timeouts;
+        if (!ran) {
+          EXPECT_TRUE(timed_out) << "xid " << calls[i].xid;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(k.failed_processes(), 0) << k.failed_names_joined();
+  EXPECT_GT(partial, 0u);
+  EXPECT_GT(inj.replies_dropped(), 0u);
+  EXPECT_EQ(timeouts, inj.requests_dropped() + inj.replies_dropped());
 }
 
 // ---- RetryChannel -----------------------------------------------------------
@@ -971,12 +1031,12 @@ TEST(FaultE2E, OverlappingDegradedWritesKeepNewestBytes) {
 // Fails WRITE calls while armed: the first failure is a kTimeout (opens the
 // outage), later ones surface a different transport error (kClosed) — the
 // shape retries produce mid-outage.
-struct WriteFailChannel final : rpc::RpcChannel {
+struct WriteFailChannel final : tests::PerCallChannel {
   explicit WriteFailChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   int fails_left = 0;
   bool first = true;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (fails_left > 0 && c.proc == static_cast<u32>(nfs::Proc::kWrite)) {
       --fails_left;
       ErrCode code = first ? ErrCode::kTimeout : ErrCode::kClosed;
@@ -989,13 +1049,13 @@ struct WriteFailChannel final : rpc::RpcChannel {
 
 // Simulates a server reboot between a flush's UNSTABLE WRITEs and its COMMIT
 // by rolling the write verifier just before the first COMMIT lands.
-struct RebootBeforeCommitChannel final : rpc::RpcChannel {
+struct RebootBeforeCommitChannel final : tests::PerCallChannel {
   RebootBeforeCommitChannel(rpc::RpcChannel& in, nfs::NfsServer& srv)
       : inner(in), server(srv) {}
   rpc::RpcChannel& inner;
   nfs::NfsServer& server;
   bool armed = true;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (armed && c.proc == static_cast<u32>(nfs::Proc::kCommit)) {
       armed = false;
       server.roll_write_verifier();
@@ -1108,13 +1168,13 @@ TEST(WritebackVerifier, RebootBetweenWritesAndCommitTriggersResend) {
 // Holds the background flusher's next COMMIT for `stall`, then rolls the
 // server's write verifier just before it lands: a reboot between the
 // flusher's WRITEs and its COMMIT. Inline drains pass straight through.
-struct RebootUnderFlusherCommitChannel final : rpc::RpcChannel {
+struct RebootUnderFlusherCommitChannel final : tests::PerCallChannel {
   RebootUnderFlusherCommitChannel(rpc::RpcChannel& in, nfs::NfsServer& srv)
       : inner(in), server(srv) {}
   rpc::RpcChannel& inner;
   nfs::NfsServer& server;
   SimDuration stall = 0;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (stall > 0 && c.proc == static_cast<u32>(nfs::Proc::kCommit) &&
         p.name().find("flusher") != std::string::npos) {
       SimDuration d = stall;
@@ -1180,11 +1240,11 @@ TEST(WritebackVerifier, ResendSkipsBlockRewrittenByInlineDrain) {
 // reader keeps going — the window in which a prefetch burst could re-fetch a
 // dirty block staged in the pending-write log from the server and insert the
 // stale bytes as clean (reads consult the cache before the log).
-struct SlowUnstableWriteChannel final : rpc::RpcChannel {
+struct SlowUnstableWriteChannel final : tests::PerCallChannel {
   explicit SlowUnstableWriteChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   SimDuration stall = 0;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (stall > 0 && c.proc == static_cast<u32>(nfs::Proc::kWrite)) {
       auto a = rpc::message_cast<nfs::WriteArgs>(c.args);
       if (a && a->stable == nfs::StableHow::kUnstable) p.delay(stall);
@@ -1345,13 +1405,13 @@ TEST(WritebackDrain, TruncateKeepsWriteLandedWhileItWaits) {
 // Fails WRITEs while armed (kTimeout first, then kClosed), and can slow down
 // the next WRITE that passes through — pinning a replay RPC in flight while
 // other frames mutate the proxy's parked-write queue.
-struct OutageThenSlowWriteChannel final : rpc::RpcChannel {
+struct OutageThenSlowWriteChannel final : tests::PerCallChannel {
   explicit OutageThenSlowWriteChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   int fails_left = 0;
   bool first = true;
   SimDuration slow_next_write = 0;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (c.proc == static_cast<u32>(nfs::Proc::kWrite)) {
       if (fails_left > 0) {
         --fails_left;
@@ -1422,12 +1482,12 @@ TEST(WritebackParking, ReplaySurvivesConcurrentSupersede) {
 // and for inline (foreground) drains, so two flush_file_ frames for
 // different files can be pinned in flight simultaneously and complete in
 // non-LIFO order.
-struct StallCommitChannel final : rpc::RpcChannel {
+struct StallCommitChannel final : tests::PerCallChannel {
   explicit StallCommitChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   SimDuration flusher_stall = 0;
   SimDuration inline_stall = 0;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (c.proc == static_cast<u32>(nfs::Proc::kCommit)) {
       bool from_flusher = p.name().find("flusher") != std::string::npos;
       SimDuration d = from_flusher ? flusher_stall : inline_stall;
@@ -1501,11 +1561,11 @@ TEST(WritebackDrain, ConcurrentDrainCompletionKeepsInFlightDataVisible) {
 
 // Flips every upstream call to kTimeout while `down` — a partition the
 // RetryChannel has already given up on, as the proxy sees it.
-struct ToggleOutageChannel final : rpc::RpcChannel {
+struct ToggleOutageChannel final : tests::PerCallChannel {
   explicit ToggleOutageChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   bool down = false;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (down) return rpc::make_error_reply(c, err(ErrCode::kTimeout, "partitioned"));
     return inner.call(p, c);
   }

@@ -7,6 +7,7 @@
 #include "test_util.h"
 
 #include <map>
+#include <string>
 
 #include "gvfs/experiment.h"
 #include "gvfs/testbed.h"
@@ -242,6 +243,47 @@ TEST(Testbed, WriteThroughL2ReachesOrigin) {
     EXPECT_EQ(blob::content_hash(**back), want);
   });
   EXPECT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+}
+
+// A counter or gauge's value in the testbed's metrics registry.
+u64 metric_value(Testbed& bed, const std::string& id) {
+  for (const auto& [name, value] : bed.metrics().snapshot()) {
+    if (name == id) return std::stoull(value);
+  }
+  ADD_FAILURE() << "no metric " << id;
+  return 0;
+}
+
+TEST(Testbed, L2FetchesInItsCacheBlockSize) {
+  // The L2 proxy's upstream READs are its cache's blocks. An L2 fetching
+  // 32 KiB into 8 KiB blocks would hold 32 KiB frames and read a 32 KiB
+  // frame off its disk for every 8 KiB node READ it serves.
+  auto opt = options_for(Scenario::kWanCached);
+  opt.shared_l2_cache = true;
+  opt.enable_meta = false;
+  opt.block_cache.block_size = 8_KiB;
+  Testbed bed(opt);
+  ASSERT_NE(bed.lan_proxy(), nullptr);
+  constexpr u64 kFile = 1_MiB;
+  blob::BlobRef data = blob::make_synthetic(78, kFile, 0.0, 1.0);
+  ASSERT_TRUE(bed.put_image_file("/big.bin", data).is_ok());
+
+  bed.kernel().run_process("t", [&](sim::Process& p) {
+    ASSERT_TRUE(bed.mount(p).is_ok());
+    auto back = bed.image_session().read_all(p, "/big.bin");
+    ASSERT_TRUE(back.is_ok());
+    EXPECT_EQ((*back)->size(), kFile);
+    EXPECT_EQ(blob::content_hash(**back), blob::content_hash(*data));
+  });
+  ASSERT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+  const u64 frames = metric_value(bed, "lan_l2.block_cache.resident_blocks");
+  const u64 frame_bytes = metric_value(bed, "lan_l2.block_cache.resident_bytes");
+  EXPECT_EQ(frames, kFile / 8_KiB);
+  EXPECT_LE(frame_bytes, frames * 8_KiB);  // no frame larger than a block
+  // The L2 disk moves about the bytes it serves, not four times as many.
+  const u64 disk_bytes = metric_value(bed, "lan_l2.disk.bytes_moved");
+  EXPECT_GE(disk_bytes, kFile);
+  EXPECT_LT(disk_bytes, kFile + kFile / 16);
 }
 
 TEST(Testbed, ParallelClonesScale) {

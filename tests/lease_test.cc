@@ -19,6 +19,7 @@
 #include "proxy/gvfs_proxy.h"
 #include "rpc/rpc.h"
 #include "sim/kernel.h"
+#include "stub_channel.h"
 
 namespace gvfs::core {
 namespace {
@@ -213,11 +214,11 @@ TEST(LeaseExpiry, LapsedHolderFencesQueuedWritesOnReconnect) {
 // ---- kNotSupported stand-down -----------------------------------------------
 
 // Counts LEASE_ACQUIRE RPCs crossing the wire so the latch is observable.
-struct LeaseCountingChannel final : rpc::RpcChannel {
+struct LeaseCountingChannel final : tests::PerCallChannel {
   explicit LeaseCountingChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   u64 acquires = 0;
-  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+  rpc::RpcReply on_call(sim::Process& p, const rpc::RpcCall& c) override {
     if (c.prog == rpc::kNfsProgram &&
         static_cast<nfs::Proc>(c.proc) == nfs::Proc::kLeaseAcquire) {
       ++acquires;
